@@ -143,6 +143,7 @@ def predict(model: FittedModel, X) -> np.ndarray:
 
     Regression returns fitted values; classification returns success
     probabilities.  Rows beyond the training range use the outermost region.
+    A non-finite value raises SchemaError naming its row and column.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(model.column_names):
@@ -150,6 +151,9 @@ def predict(model: FittedModel, X) -> np.ndarray:
             f"expected {len(model.column_names)} predictor columns, "
             f"got shape {X.shape}"
         )
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        raise SchemaError(f"non-finite predictor value at row {i}, column {j}")
     regions = assign_regions(model.config.as_dict(), X)
     out = np.empty(X.shape[0])
     for r, fit in enumerate(model.region_fits):

@@ -7,10 +7,11 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit, log_ndtr, ndtr
 
 from .model import (
@@ -56,20 +57,36 @@ def full_design(data: Dataset, rows: np.ndarray) -> np.ndarray:
     return D
 
 
+def _cholesky(A: np.ndarray, scale: float = 0.0) -> tuple[np.ndarray | None, float]:
+    """Lower Cholesky factor of ``A`` and a pivot-based condition estimate.
+
+    The estimate is ``(max(largest pivot, scale) / smallest pivot)^2``.
+    ``scale`` anchors it to the problem's natural scale, so a uniformly
+    collapsing matrix (a flat likelihood under separation) still registers as
+    ill conditioned.  Returns ``(None, inf)`` when ``A`` is not numerically
+    positive definite.  LAPACK is called directly: only the lower triangle
+    of the factor is meaningful, which is all ``dpotrs`` reads.
+    """
+    L, info = dpotrf(A, lower=1, clean=0)
+    if info != 0:
+        return None, math.inf
+    d = L.diagonal().tolist()
+    low = min(d)
+    if low <= 0:
+        return None, math.inf
+    return L, (max(max(d), scale) / low) ** 2
+
+
 def _solve_spd(G: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve ``G b = c`` for symmetric positive definite ``G``.
 
     Raises SingularFitError when ``G`` is not numerically positive definite
     or its Cholesky pivots indicate rank deficiency.
     """
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        raise SingularFitError("rank-deficient design") from None
-    d = np.diag(L)
-    if d.min() <= 0 or (d.max() / d.min()) ** 2 > COND_LIMIT:
+    L, cond = _cholesky(G)
+    if L is None or cond > COND_LIMIT:
         raise SingularFitError("rank-deficient design")
-    return cho_solve((L, True), c)
+    return dpotrs(L, c, lower=1)[0]
 
 
 def fit_ols(data: Dataset, req: FitRequest) -> RegionFit:
@@ -162,24 +179,6 @@ def link_forward(task: str, p: float) -> float:
     return float(ndtri(p))
 
 
-def _pivot_cond(H: np.ndarray, scale: float = 0.0) -> tuple[np.ndarray | None, float]:
-    """Cholesky factor and a pivot-based condition estimate of ``H``.
-
-    ``scale`` anchors the estimate to the problem's natural Hessian scale,
-    so a uniformly collapsing Hessian (flat likelihood under separation)
-    still registers as ill conditioned.
-    """
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return None, np.inf
-    d = np.diag(L)
-    if d.min() <= 0:
-        return None, np.inf
-    top = max(float(d.max()), scale)
-    return L, float((top / d.min()) ** 2)
-
-
 def _newton_glm(D, y, task, beta0=None):
     """Damped Newton minimization of the masked-region Bernoulli NLL.
 
@@ -211,16 +210,16 @@ def _newton_glm(D, y, task, beta0=None):
         if penalized:
             g = g + 2.0 * RIDGE * beta
             H = H + 2.0 * RIDGE * np.eye(s)
-        L, cond = _pivot_cond(H, hessian_scale)
+        L, cond = _cholesky(H, hessian_scale)
         if not penalized and cond > COND_LIMIT:
             penalized = True
             f = objective(beta, t)
             g = g + 2.0 * RIDGE * beta
             H = H + 2.0 * RIDGE * np.eye(s)
-            L, cond = _pivot_cond(H, hessian_scale)
+            L, cond = _cholesky(H, hessian_scale)
         if L is None:
             break
-        step = cho_solve((L, True), g)
+        step = dpotrs(L, g, lower=1)[0]
         scale = 1.0
         accepted = False
         for _ in range(40):
@@ -314,25 +313,26 @@ class RegionDesign:
             self.yty = float(self.y @ self.y)
         self._constant_response = bool(self.y.size) and self.y.min() == self.y.max()
 
-    def fit_mask(self, mask_int: int, cols: np.ndarray):
-        """``(beta, fit_stat, stabilized)`` for a mask, or None if infeasible."""
+    def fit_mask(self, mask_int: int, cols: np.ndarray, ix: tuple):
+        """``(beta, fit_stat, stabilized)`` for a mask, or None if infeasible.
+
+        ``ix`` is ``np.ix_(cols, cols)``, built once per mask by the caller.
+        """
         hit = self._cache.get(mask_int)
         if hit is not None or mask_int in self._cache:
             return hit
-        result = self._fit_mask(cols)
+        result = self._fit_mask(cols, ix)
         self._cache[mask_int] = result
         return result
 
-    def _fit_mask(self, cols: np.ndarray):
+    def _fit_mask(self, cols: np.ndarray, ix: tuple):
         if self.task == TASK_REGRESSION:
             if cols.size == 0:
                 return np.empty(0), self.yty, False
             if cols.size > self.n_r:
                 return None
             try:
-                beta = _solve_spd(
-                    self.G[np.ix_(cols, cols)], self.c[cols]
-                )
+                beta = _solve_spd(self.G[ix], self.c[cols])
             except SingularFitError:
                 return None
             rss = max(self.yty - float(beta @ self.c[cols]), 0.0)
@@ -345,9 +345,3 @@ class RegionDesign:
             return np.array([b0]), nll, True
         beta, nll, _conv, stab = _newton_glm(self.D[:, cols], self.y, self.task)
         return beta, nll, stab
-
-    def null_stat(self) -> float:
-        """Fit statistic of the empty mask (linear predictor 0)."""
-        if self.task == TASK_REGRESSION:
-            return self.yty
-        return classification_nll(self.task, np.zeros(self.n_r), self.y)

@@ -22,6 +22,7 @@ from .model import (
     InputError,
     RegionFit,
     SchemaError,
+    TASKS,
 )
 
 DOCUMENT_VERSION = "partwise-v1"
@@ -168,44 +169,95 @@ def model_to_document(model: FittedModel) -> dict:
     }
 
 
+_DOCUMENT_KEYS = (
+    "version",
+    "task",
+    "n_obs",
+    "response",
+    "columns",
+    "thresholds",
+    "region_fits",
+    "mdl",
+    "sigma2_hat",
+    "converged",
+)
+_REGION_FIT_KEYS = ("mask", "beta", "fit_stat", "stabilized")
+_MDL_KEYS = (
+    "predictor_code",
+    "per_predictor_code",
+    "region_param_code",
+    "residual_code",
+    "total",
+)
+
+
+def _require(obj, keys: Sequence[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise SchemaError(f"{where} is missing keys {missing}")
+
+
 def document_to_model(doc: dict) -> FittedModel:
-    if doc.get("version") != DOCUMENT_VERSION:
+    """Rebuild a model from its document; a malformed one raises SchemaError."""
+    _require(doc, _DOCUMENT_KEYS, "model document")
+    if doc["version"] != DOCUMENT_VERSION:
         raise SchemaError(
-            f"unsupported model document version {doc.get('version')!r}"
+            f"unsupported model document version {doc['version']!r}"
         )
-    columns = tuple(doc["columns"])
-    name_to_idx = {c: j for j, c in enumerate(columns)}
-    config = ChangePointConfig(
-        {name_to_idx[c]: ts for c, ts in doc["thresholds"].items()}
-    )
-    fits = [
-        RegionFit(
-            np.asarray(rf["mask"], dtype=bool),
-            np.asarray(rf["beta"], dtype=np.float64),
-            float(rf["fit_stat"]),
-            stabilized=bool(rf["stabilized"]),
+    if doc["task"] not in TASKS:
+        raise SchemaError(f"unknown task {doc['task']!r}")
+    try:
+        columns = tuple(str(c) for c in doc["columns"])
+        name_to_idx = {c: j for j, c in enumerate(columns)}
+        unknown = [c for c in doc["thresholds"] if c not in name_to_idx]
+        if unknown:
+            raise SchemaError(f"thresholds name unknown columns {unknown}")
+        config = ChangePointConfig(
+            {name_to_idx[c]: ts for c, ts in doc["thresholds"].items()}
         )
-        for rf in doc["region_fits"]
-    ]
-    m = doc["mdl"]
-    mdl = MdlBreakdown(
-        predictor_code=m["predictor_code"],
-        per_predictor_code=m["per_predictor_code"],
-        region_param_code=m["region_param_code"],
-        residual_code=m["residual_code"],
-        total=m["total"],
-    )
-    return FittedModel(
-        task=doc["task"],
-        config=config,
-        column_names=columns,
-        response_name=doc["response"],
-        region_fits=fits,
-        mdl=mdl,
-        sigma2_hat=doc["sigma2_hat"],
-        converged=bool(doc["converged"]),
-        n_obs=int(doc["n_obs"]),
-    )
+        if len(doc["region_fits"]) != config.num_regions:
+            raise SchemaError(
+                f"{len(doc['region_fits'])} region fits for "
+                f"{config.num_regions} regions"
+            )
+        fits = []
+        for r, rf in enumerate(doc["region_fits"]):
+            _require(rf, _REGION_FIT_KEYS, f"region fit {r}")
+            mask = np.asarray(rf["mask"], dtype=bool)
+            beta = np.asarray(rf["beta"], dtype=np.float64)
+            if mask.shape != (len(columns) + 1,):
+                raise SchemaError(
+                    f"region fit {r}: mask must have {len(columns) + 1} entries"
+                )
+            if beta.shape != (int(mask.sum()),):
+                raise SchemaError(
+                    f"region fit {r}: {beta.size} coefficients for "
+                    f"{int(mask.sum())} selected columns"
+                )
+            fits.append(
+                RegionFit(
+                    mask, beta, float(rf["fit_stat"]), stabilized=bool(rf["stabilized"])
+                )
+            )
+        m = doc["mdl"]
+        _require(m, _MDL_KEYS, "mdl breakdown")
+        mdl = MdlBreakdown(**{k: float(m[k]) for k in _MDL_KEYS})
+        sigma2 = doc["sigma2_hat"]
+        return FittedModel(
+            task=doc["task"],
+            config=config,
+            column_names=columns,
+            response_name=str(doc["response"]),
+            region_fits=fits,
+            mdl=mdl,
+            sigma2_hat=None if sigma2 is None else float(sigma2),
+            converged=bool(doc["converged"]),
+            n_obs=int(doc["n_obs"]),
+        )
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"malformed model document: {exc}") from None
 
 
 def save_model(model: FittedModel, path: str) -> None:
@@ -214,5 +266,10 @@ def save_model(model: FittedModel, path: str) -> None:
 
 
 def load_model(path: str) -> FittedModel:
+    """Read a model document; invalid JSON or a malformed document raises SchemaError."""
     with open(path) as fh:
-        return document_to_model(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{path}: not a JSON model document: {exc}") from None
+    return document_to_model(doc)

@@ -38,12 +38,16 @@ SUBSET_CAP = 12  # beyond this many change points, only single-drop subsets
 
 
 def _mask_table(n_params: int):
-    """All masks as (mask_int, column indices, popcount, lex tuple)."""
+    """All masks as (mask_int, column indices, popcount, lex tuple, ix pair).
+
+    The ``np.ix_(cols, cols)`` pair that cuts a mask's sub-Gram is built here
+    once, not on every fit.
+    """
     out = []
     for m in range(1 << n_params):
         bools = tuple((m >> i) & 1 for i in range(n_params))
         cols = np.flatnonzero(np.array(bools, dtype=bool))
-        out.append((m, cols, len(cols), bools))
+        out.append((m, cols, len(cols), bools, np.ix_(cols, cols)))
     return out
 
 
@@ -93,8 +97,8 @@ def _region_menu(design: RegionDesign, n_params: int, exhaustive: bool):
     """
     menu = []
     if exhaustive:
-        for mask_int, cols, s, bools in _masks_for(n_params):
-            res = design.fit_mask(mask_int, cols)
+        for mask_int, cols, s, bools, ix in _masks_for(n_params):
+            res = design.fit_mask(mask_int, cols, ix)
             if res is None:
                 continue
             beta, stat, stab = res
@@ -112,7 +116,7 @@ def _region_menu(design: RegionDesign, n_params: int, exhaustive: bool):
             seen.add(bools)
             cols = np.flatnonzero(np.array(bools, dtype=bool))
             mask_int = sum(1 << i for i, b in enumerate(bools) if b)
-            res = design.fit_mask(mask_int, cols)
+            res = design.fit_mask(mask_int, cols, np.ix_(cols, cols))
             if res is None:
                 return None
             beta, stat, stab = res

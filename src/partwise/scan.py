@@ -3,9 +3,14 @@
 Each predictor is scanned independently: thresholds are added one at a time
 at the position minimizing the full MDL criterion for a model that breaks on
 that predictor alone, with every region fitted under the full variable mask.
-The scan stops at the per-predictor cap, when no position satisfies the
-minimum-segment constraint, or when the best addition no longer lowers the
-criterion.
+A greedy step scores every admissible cut at once.  It fits the left and
+right segment of every cut together (one stacked solve of prefix-Gram
+differences for regression; cached, warm-started Newton fits for the binary
+links) and evaluates the criterion of all cuts as vectors, with the same
+floating-point operations in the same order as scoring one cut at a time, so
+the first minimizer is the one a cut-by-cut loop would pick.  The scan stops
+at the per-predictor cap, when no position satisfies the minimum-segment
+constraint, or when the best addition no longer lowers the criterion.
 """
 
 from __future__ import annotations
@@ -32,8 +37,26 @@ def default_min_segment(P: int) -> int:
     return max(P + 2, 10)
 
 
+def _solve_each(G: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` of every system in a stack.
+
+    Rows whose matrix LAPACK finds exactly singular come back NaN.  A stacked
+    solve raises if any one matrix is singular, so a failing stack is split
+    in halves until the singular systems are isolated.
+    """
+    try:
+        return np.linalg.solve(G, c[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(G) == 1:
+            return np.full_like(c, np.nan)
+        mid = len(G) // 2
+        return np.concatenate(
+            [_solve_each(G[:mid], c[:mid]), _solve_each(G[mid:], c[mid:])]
+        )
+
+
 class _RegressionSegments:
-    """O(1) full-mask RSS of any sorted-order segment via prefix Gram sums."""
+    """Full-mask RSS of sorted-order segments via prefix Gram sums."""
 
     def __init__(self, data: Dataset, j: int):
         rows = data.order[j]
@@ -47,17 +70,26 @@ class _RegressionSegments:
         self._yy = np.zeros(data.n + 1)
         np.cumsum(y * y, out=self._yy[1:])
 
-    def stat(self, lo: int, hi: int) -> float:
+    def stat(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """RSS of every segment ``[lo_i, hi_i)`` from one stacked solve.
+
+        Each segment gets the arithmetic of a solve of its own; a segment
+        whose Gram is singular, or whose solution is not finite, falls back
+        to least squares.
+        """
         G = self._G[hi] - self._G[lo]
         c = self._c[hi] - self._c[lo]
         yy = self._yy[hi] - self._yy[lo]
-        try:
-            beta = np.linalg.solve(G, c)
-            if not np.isfinite(beta).all():
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            beta = np.linalg.lstsq(G, c, rcond=None)[0]
-        return max(float(yy - beta @ c), 0.0)
+        beta = _solve_each(G, c)
+        for i in np.flatnonzero(~np.isfinite(beta).all(axis=1)):
+            beta[i] = np.linalg.lstsq(G[i], c[i], rcond=None)[0]
+        # A stacked matmul takes the same dot product as ``beta_i @ c_i``.
+        fitted = np.matmul(beta[:, None, :], c[:, :, None])[:, 0, 0]
+        return np.maximum(yy - fitted, 0.0)
+
+    def stats(self, lo, hi, parent_lo, parent_hi) -> np.ndarray:
+        """Segment statistics; least squares needs no parent fit."""
+        return self.stat(lo, hi)
 
 
 class _BinarySegments:
@@ -69,51 +101,118 @@ class _BinarySegments:
         self._y = data.y[rows]
         self.task = task
         self._beta: dict[tuple[int, int], np.ndarray] = {}
+        self._cache: dict[tuple[int, int], float] = {}
 
-    def stat(self, lo: int, hi: int, parent: tuple[int, int] | None = None) -> float:
+    def stat(self, lo: int, hi: int, parent: tuple[int, int]) -> float:
+        """NLL of segment ``[lo, hi)``, warm-started from ``parent``'s fit if any."""
         D = self._D[lo:hi]
         y = self._y[lo:hi]
         if y.min() == y.max():
             p = float(np.clip(y[0], DEGENERATE_CLIP, 1.0 - DEGENERATE_CLIP))
             t = np.full(y.size, link_forward(self.task, p))
             return classification_nll(self.task, t, y)
-        beta0 = self._beta.get(parent) if parent is not None else None
-        beta, nll, _conv, _stab = _newton_glm(D, y, self.task, beta0)
+        beta, nll, _conv, _stab = _newton_glm(D, y, self.task, self._beta.get(parent))
         self._beta[(lo, hi)] = beta
         return nll
+
+    def stats(self, lo, hi, parent_lo, parent_hi) -> np.ndarray:
+        """Segment statistics, each fitted once and warm-started from the
+        fit of the segment it was split from; a segment's first fit wins."""
+        out = np.empty(len(lo))
+        for i, seg in enumerate(zip(lo.tolist(), hi.tolist())):
+            hit = self._cache.get(seg)
+            if hit is None:
+                parent = (int(parent_lo[i]), int(parent_hi[i]))
+                hit = self._cache[seg] = self.stat(*seg, parent=parent)
+            out[i] = hit
+        return out
 
 
 def _one_predictor_mdl(
     n: int,
     P: int,
-    boundaries: list[int],
-    stats: dict[tuple[int, int], float],
+    counts: np.ndarray,
+    stats: np.ndarray,
     task: str,
-) -> float:
-    """Full-mask MDL of a model breaking on a single predictor only.
+    log2: np.ndarray,
+) -> np.ndarray:
+    """Full-mask MDL of models breaking on a single predictor only.
 
-    ``boundaries`` is ``[0, c_1+1, .., c_l+1, n]`` in sorted-order positions.
+    Row ``i`` of ``counts`` and ``stats`` (shape ``(models, l + 1)``) holds
+    one model's segment sizes and fit statistics, left to right.  ``log2[c]``
+    is ``math.log2(c)``.  Every sum runs over the segments left to right, term
+    by term, so each row's value equals the scalar criterion bit for bit.
     With no cuts this reduces to the no-break criterion.
     """
-    segs = list(zip(boundaries[:-1], boundaries[1:]))
-    l = len(segs) - 1
-    total_stat = sum(stats[s] for s in segs)
+    l = counts.shape[1] - 1
+    log2_counts = log2[counts]
+    log2_regions = math.log2(l + 1)
+    half_s_full = 0.5 * (P + 1)
+    total_stat = np.zeros(len(counts))
+    region = np.zeros(len(counts))
+    occupancy = np.zeros(len(counts))
+    for z in range(l + 1):
+        total_stat = total_stat + stats[:, z]
+        region = region + (log2_regions + half_s_full * log2_counts[:, z])
+        occupancy = occupancy + log2_counts[:, z]
     if task == TASK_REGRESSION:
-        residual = residual_code_regression(n, total_stat)
+        residual = np.array(
+            [residual_code_regression(n, rss) for rss in total_stat.tolist()]
+        )
     else:
         residual = total_stat
-    s_full = P + 1
-    counts = [hi - lo for lo, hi in segs]
-    region = sum(math.log2(l + 1) + 0.5 * s_full * math.log2(c) for c in counts)
     if l == 0:
         return region + residual
-    structural = (
-        math.log2(P)
-        + math.log2(2)
-        + math.log2(l + 1)
-        + sum(math.log2(c) for c in counts)
-    )
+    structural = math.log2(P) + math.log2(2) + math.log2(l + 1) + occupancy
     return structural + region + residual
+
+
+def _scan_step(
+    segments,
+    bounds: np.ndarray,
+    seg_stats: np.ndarray,
+    cuts: np.ndarray,
+    n: int,
+    P: int,
+    task: str,
+    min_segment: int,
+    log2: np.ndarray,
+):
+    """The best cut to add to the segments ``bounds``, scoring all at once.
+
+    Returns ``(cut position, segment index, mdl, left stat, right stat)`` for
+    the first minimizer in cut order, or None when no cut is admissible or
+    none scores finite.  Chosen cuts are excluded by the minimum segment.
+    """
+    b = cuts + 1  # boundary position of each cut
+    k = np.searchsorted(bounds, b) - 1
+    lo, hi = bounds[k], bounds[k + 1]
+    ok = np.flatnonzero((b - lo >= min_segment) & (hi - b >= min_segment))
+    if ok.size == 0:
+        return None
+    b, k, lo, hi = b[ok], k[ok], lo[ok], hi[ok]
+    m = ok.size
+    both = segments.stats(
+        np.concatenate([lo, b]),
+        np.concatenate([b, hi]),
+        np.concatenate([lo, lo]),
+        np.concatenate([hi, hi]),
+    )
+    left, right = both[:m], both[m:]
+    # Each trial keeps the current segments, with segment k split in two.
+    col = np.arange(len(seg_stats) + 1)
+    src = np.where(col <= k[:, None], col, col - 1)
+    stats = seg_stats[src]
+    counts = np.diff(bounds)[src]
+    rows = np.arange(m)
+    stats[rows, k], stats[rows, k + 1] = left, right
+    counts[rows, k], counts[rows, k + 1] = b - lo, hi - b
+    mdl = _one_predictor_mdl(n, P, counts, stats, task, log2)
+    mdl[np.isnan(mdl)] = np.inf
+    i = int(np.argmin(mdl))
+    if mdl[i] == np.inf:
+        return None
+    return int(cuts[ok[i]]), int(k[i]), mdl[i], left[i], right[i]
 
 
 def _scan_one(
@@ -123,6 +222,7 @@ def _scan_one(
     max_per: int,
     min_segment: int,
     require_improvement: bool,
+    log2: np.ndarray,
 ) -> list[float]:
     cuts = data.cut_positions(j)
     if cuts.size == 0:
@@ -132,48 +232,26 @@ def _scan_one(
         if task == TASK_REGRESSION
         else _BinarySegments(data, j, task)
     )
-    stats: dict[tuple[int, int], float] = {}
-
-    def stat(lo: int, hi: int, parent=None) -> float:
-        hit = stats.get((lo, hi))
-        if hit is None:
-            if task == TASK_REGRESSION:
-                hit = segments.stat(lo, hi)
-            else:
-                hit = segments.stat(lo, hi, parent)
-            stats[(lo, hi)] = hit
-        return hit
-
-    boundaries = [0, data.n]
-    stat(0, data.n)
-    current = _one_predictor_mdl(data.n, data.P, boundaries, stats, task)
+    bounds = np.array([0, data.n])
+    # The whole sample is its own parent: nothing is fitted yet to start from.
+    seg_stats = segments.stats(bounds[:1], bounds[1:], bounds[:1], bounds[1:])
+    current = _one_predictor_mdl(
+        data.n, data.P, np.diff(bounds)[None, :], seg_stats[None, :], task, log2
+    )[0]
 
     chosen: list[int] = []
     while len(chosen) < max_per:
-        best_pos = None
-        best_mdl = np.inf
-        for pos in cuts:
-            pos = int(pos)
-            if pos in chosen:
-                continue
-            b = pos + 1  # boundary position of this cut
-            seg_idx = np.searchsorted(boundaries, b) - 1
-            lo, hi = boundaries[seg_idx], boundaries[seg_idx + 1]
-            if b - lo < min_segment or hi - b < min_segment:
-                continue
-            stat(lo, b, parent=(lo, hi))
-            stat(b, hi, parent=(lo, hi))
-            trial = sorted(boundaries + [b])
-            m = _one_predictor_mdl(data.n, data.P, trial, stats, task)
-            if m < best_mdl:
-                best_mdl = m
-                best_pos = pos
-        if best_pos is None:
+        step = _scan_step(
+            segments, bounds, seg_stats, cuts, data.n, data.P, task, min_segment, log2
+        )
+        if step is None:
             break
+        pos, k, best_mdl, left, right = step
         if require_improvement and best_mdl >= current:
             break
-        chosen.append(best_pos)
-        boundaries = sorted(boundaries + [best_pos + 1])
+        chosen.append(pos)
+        bounds = np.insert(bounds, k + 1, pos + 1)
+        seg_stats = np.concatenate([seg_stats[:k], [left, right], seg_stats[k + 1 :]])
         current = best_mdl
     return [data.midpoint(j, p) for p in sorted(chosen)]
 
@@ -206,10 +284,12 @@ def scan_candidates(
         min_segment = default_min_segment(data.P)
     elif min_segment < data.P + 2:
         raise ValueError(f"min_segment must be at least P + 2 = {data.P + 2}")
+    # log2[c] == math.log2(c), so vectorized code lengths match scalar ones.
+    log2 = np.array([-np.inf] + [math.log2(c) for c in range(1, data.n + 1)])
     out: dict[int, list[float]] = {}
     for j in range(data.P):
         found = _scan_one(
-            data, j, task, max_per_predictor, min_segment, require_improvement
+            data, j, task, max_per_predictor, min_segment, require_improvement, log2
         )
         if found:
             out[j] = found

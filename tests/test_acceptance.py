@@ -11,6 +11,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from partwise import (
     BpsoParams,
@@ -40,6 +41,8 @@ from partwise.simulate import SETTINGS, evaluate_trial, generate, run_trials, su
 
 from conftest import random_config, random_dataset
 from test_mdl import reference_mdl, synthetic_fits
+
+pytestmark = pytest.mark.slow
 
 THREADS = 2
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from partwise import Dataset, induce_partition, mdl_score
+from partwise import Dataset, SchemaError, induce_partition, mdl_score
 from partwise.estimator import FitParams, fit_model, predict, predict_labels
 from partwise.simulate import SETTINGS, generate
 
@@ -84,3 +84,16 @@ class TestPredict:
         model = fit_model(data, "regression", FitParams(seed=2)).model
         with pytest.raises(ValueError):
             predict_labels(model, data.X)
+
+    def test_non_finite_row_rejected(self):
+        rng = np.random.default_rng(9)
+        data = generate(SETTINGS["reg1"], 120, rng, sigma=1.0)
+        model = fit_model(data, "regression", FitParams(seed=2)).model
+        for bad in (np.nan, np.inf, -np.inf):
+            X = data.X[:5].copy()
+            X[3, 2] = bad
+            X[4, 0] = bad
+            with pytest.raises(
+                SchemaError, match="non-finite predictor value at row 3, column 2"
+            ):
+                predict(model, X)

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 from scipy.special import expit, ndtr
 
 from partwise import Dataset, SingularFitError, fit_logistic, fit_ols, fit_probit
 from partwise.fitting import (
+    COND_LIMIT,
     FitRequest,
+    _cholesky,
+    _solve_spd,
     full_design,
     logistic_grad_hess,
     logistic_nll,
@@ -220,3 +225,106 @@ def test_classification_nesting_monotonicity(link, fitter):
         f_small = fitter(d, FitRequest(all_rows(d), small, link))
         f_big = fitter(d, FitRequest(all_rows(d), big, link))
         assert f_big.fit_stat <= f_small.fit_stat + 1e-6
+
+
+# -- the LAPACK-direct Cholesky against the rule it replaced -----------------
+
+
+def _reference_cholesky(A, scale=0.0):
+    """``np.linalg.cholesky`` plus the pivot-ratio condition estimate."""
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    d = np.diag(L)
+    if d.min() <= 0:
+        return None, np.inf
+    return L, float((max(float(d.max()), scale) / d.min()) ** 2)
+
+
+def _reference_solve(A, b, scale=0.0):
+    """Accepted solution of ``A x = b`` by the reference rule, or None."""
+    L, cond = _reference_cholesky(A, scale)
+    if L is None or cond > COND_LIMIT:
+        return None
+    return cho_solve((L, True), b)
+
+
+def _helper_solve(A, b, scale=0.0):
+    L, cond = _cholesky(A, scale)
+    if L is None or cond > COND_LIMIT:
+        return None
+    return dpotrs(L, b, lower=1)[0]
+
+
+def _with_pivots(pivots, seed):
+    """SPD matrix ``L L'`` whose Cholesky pivots are ``pivots``."""
+    rng = np.random.default_rng(seed)
+    k = len(pivots)
+    L = np.tril(rng.normal(0, 1, (k, k)), -1) * 1e-3 + np.diag(pivots)
+    return L @ L.T
+
+
+def _spd_cases():
+    rng = np.random.default_rng(2024)
+    for i in range(300):
+        k = 1 + i % 6
+        D = rng.normal(0, 1, (k + int(rng.integers(0, 30)), k))
+        D *= rng.uniform(1e-2, 1e2, k)
+        w = rng.uniform(0.01, 1.0, D.shape[0])
+        yield (D * w[:, None]).T @ D, rng.normal(0, 1, k)
+
+
+class TestCholeskyHelper:
+    """Numpy and scipy may each link their own LAPACK build; their factors
+    agree to rounding, so solutions match to a relative 1e-10 and every
+    accept/reject decision away from the limit matches exactly."""
+
+    def test_spd_matrices(self):
+        for A, b in _spd_cases():
+            want = _reference_solve(A, b)
+            got = _helper_solve(A, b)
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_condition_limit_boundary(self, side, k):
+        low = 1.0 / np.sqrt(COND_LIMIT * side)
+        A = _with_pivots([1.0] * (k - 1) + [low], seed=k)
+        b = np.arange(1.0, k + 1.0)
+        _, cond = _cholesky(A)
+        assert cond == pytest.approx(_reference_cholesky(A)[1], rel=1e-12)
+        assert (cond > COND_LIMIT) == (side > 1.0)
+        want = _reference_solve(A, b)
+        got = _helper_solve(A, b)
+        assert (got is None) == (want is None) == (side > 1.0)
+        if want is not None:
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6])
+    def test_scale_anchors_the_estimate(self, side):
+        # Uniformly small pivots register as ill conditioned only through
+        # the anchoring scale, as for a collapsing Newton Hessian.
+        A = np.eye(3) * 1e-8
+        scale = 1e-4 * np.sqrt(COND_LIMIT * side)
+        _, cond = _cholesky(A, scale)
+        assert cond == pytest.approx(_reference_cholesky(A, scale)[1], rel=1e-12)
+        assert (cond > COND_LIMIT) == (side > 1.0)
+        assert _cholesky(A)[1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite
+            -np.eye(3),  # negative definite
+            np.diag([1.0, 0.0, 2.0]),  # singular
+            np.ones((3, 3)),  # rank one
+        ],
+    )
+    def test_not_positive_definite(self, A):
+        assert _reference_cholesky(A) == (None, np.inf)
+        assert _cholesky(A) == (None, np.inf)
+        with pytest.raises(SingularFitError):
+            _solve_spd(A, np.ones(A.shape[0]))

@@ -130,6 +130,74 @@ class TestModelDocument:
             predict(model, data.X[:, :2])
 
 
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """A fitted model's document text and a CSV of its predictor rows."""
+    rng = np.random.default_rng(11)
+    data = generate(SETTINGS["reg1"], 150, rng, sigma=1.0)
+    model = fit_model(data, "regression", FitParams(seed=3)).model
+    assert model.config.B > 0
+    root = tmp_path_factory.mktemp("saved")
+    csv_path = root / "rows.csv"
+    write_csv(csv_path, list(data.column_names), data.X.tolist())
+    return dumps_document(model_to_document(model)), str(csv_path)
+
+
+def _edit(change):
+    def corrupt(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+
+    return corrupt
+
+
+def _rename_threshold_column(doc):
+    name = next(iter(doc["thresholds"]))
+    doc["thresholds"]["nope"] = doc["thresholds"].pop(name)
+
+
+CORRUPTIONS = {
+    "truncated_json": lambda text: text[: len(text) // 2],
+    "not_json": lambda text: "not a model\n",
+    "not_an_object": lambda text: "[1, 2]",
+    "missing_mdl": _edit(lambda d: d.pop("mdl")),
+    "missing_mdl_total": _edit(lambda d: d["mdl"].pop("total")),
+    "missing_columns": _edit(lambda d: d.pop("columns")),
+    "missing_beta": _edit(lambda d: d["region_fits"][0].pop("beta")),
+    "mask_too_long": _edit(lambda d: d["region_fits"][0]["mask"].append(True)),
+    "mask_too_short": _edit(lambda d: d["region_fits"][0]["mask"].pop()),
+    "beta_too_long": _edit(lambda d: d["region_fits"][0]["beta"].append(1.0)),
+    "beta_not_numbers": _edit(lambda d: d["region_fits"][0].update(beta="abc")),
+    "region_missing": _edit(lambda d: d["region_fits"].pop()),
+    "region_extra": _edit(lambda d: d["region_fits"].append(d["region_fits"][0])),
+    "unknown_column": _edit(_rename_threshold_column),
+    "unknown_task": _edit(lambda d: d.update(task="ranking")),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_predict_rejects_malformed_document(saved_model, tmp_path, capsys, corruption):
+    text, csv_path = saved_model
+    model_path = tmp_path / "model.json"
+    model_path.write_text(CORRUPTIONS[corruption](text))
+    out = str(tmp_path / "pred.csv")
+    code = main(["predict", "--model", str(model_path), "--data", csv_path, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_predict_accepts_uncorrupted_document(saved_model, tmp_path):
+    text, csv_path = saved_model
+    model_path = tmp_path / "model.json"
+    model_path.write_text(text)
+    out = str(tmp_path / "pred.csv")
+    assert main(["predict", "--model", str(model_path), "--data", csv_path, "--out", out]) == 0
+
+
 class TestCli:
     def test_fit_predict_round_trip(self, reg_csv, tmp_path, capsys):
         model_path = str(tmp_path / "model.json")

@@ -25,8 +25,8 @@ def exhaustive_selection_oracle(data, grid, task="regression"):
     menus = []
     for d_r in designs:
         entries = []
-        for mask_int, cols, s, bools in _masks_for(data.P + 1):
-            res = d_r.fit_mask(mask_int, cols)
+        for mask_int, cols, s, bools, ix in _masks_for(data.P + 1):
+            res = d_r.fit_mask(mask_int, cols, ix)
             if res is not None:
                 entries.append((s, bools, res[1]))
         menus.append(entries)

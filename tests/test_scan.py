@@ -5,6 +5,7 @@ import pytest
 
 from partwise import Dataset, scan_candidates
 from partwise.mdl import SIGMA2_FLOOR
+from partwise.scan import _BinarySegments, _RegressionSegments, default_min_segment
 from partwise.simulate import SETTINGS, generate
 
 
@@ -174,3 +175,167 @@ class TestClassificationScan:
         # cuts on the 7-level discrete predictor are between-level midpoints
         assert all(abs(t - round(t)) == pytest.approx(0.5) for t in got[0])
         assert any(t == pytest.approx(3.5) for t in got[0])
+
+
+# -- reference: the scan scored one cut at a time ---------------------------
+
+
+class _ReferenceRegressionSegments:
+    """One ``np.linalg.solve`` per segment, with the lstsq fallback."""
+
+    def __init__(self, data, j):
+        seg = _RegressionSegments(data, j)
+        self._G, self._c, self._yy = seg._G, seg._c, seg._yy
+        self.fallbacks = 0
+
+    def stat(self, lo, hi, parent=None):
+        G = self._G[hi] - self._G[lo]
+        c = self._c[hi] - self._c[lo]
+        yy = self._yy[hi] - self._yy[lo]
+        try:
+            beta = np.linalg.solve(G, c)
+            if not np.isfinite(beta).all():
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            self.fallbacks += 1
+            beta = np.linalg.lstsq(G, c, rcond=None)[0]
+        return max(float(yy - beta @ c), 0.0)
+
+
+def _reference_mdl(n, P, boundaries, stats, task):
+    segs = list(zip(boundaries[:-1], boundaries[1:]))
+    l = len(segs) - 1
+    total_stat = sum(stats[s] for s in segs)
+    if task == "regression":
+        residual = 0.5 * n * math.log(max(total_stat / n, SIGMA2_FLOOR))
+    else:
+        residual = total_stat
+    s_full = P + 1
+    counts = [hi - lo for lo, hi in segs]
+    region = sum(math.log2(l + 1) + 0.5 * s_full * math.log2(c) for c in counts)
+    if l == 0:
+        return region + residual
+    structural = (
+        math.log2(P) + math.log2(2) + math.log2(l + 1) + sum(math.log2(c) for c in counts)
+    )
+    return structural + region + residual
+
+
+def reference_scan(data, task, max_per=3, min_segment=None, require_improvement=True):
+    """``scan_candidates`` as a loop scoring one cut at a time; also returns
+    how many segments took the lstsq fallback."""
+    if min_segment is None:
+        min_segment = default_min_segment(data.P)
+    out, fallbacks = {}, 0
+    for j in range(data.P):
+        cuts = data.cut_positions(j)
+        if cuts.size == 0:
+            continue
+        if task == "regression":
+            segments = _ReferenceRegressionSegments(data, j)
+        else:
+            segments = _BinarySegments(data, j, task)
+        stats = {}
+
+        def stat(lo, hi, parent=None):
+            if (lo, hi) not in stats:
+                stats[(lo, hi)] = segments.stat(lo, hi, parent)
+            return stats[(lo, hi)]
+
+        boundaries = [0, data.n]
+        stat(0, data.n)
+        current = _reference_mdl(data.n, data.P, boundaries, stats, task)
+        chosen = []
+        while len(chosen) < max_per:
+            best_pos, best_mdl = None, np.inf
+            for pos in cuts.tolist():
+                if pos in chosen:
+                    continue
+                b = pos + 1
+                seg_idx = np.searchsorted(boundaries, b) - 1
+                lo, hi = boundaries[seg_idx], boundaries[seg_idx + 1]
+                if b - lo < min_segment or hi - b < min_segment:
+                    continue
+                stat(lo, b, parent=(lo, hi))
+                stat(b, hi, parent=(lo, hi))
+                m = _reference_mdl(
+                    data.n, data.P, sorted(boundaries + [b]), stats, task
+                )
+                if m < best_mdl:
+                    best_mdl, best_pos = m, pos
+            if best_pos is None:
+                break
+            if require_improvement and best_mdl >= current:
+                break
+            chosen.append(best_pos)
+            boundaries = sorted(boundaries + [best_pos + 1])
+            current = best_mdl
+        if task == "regression":
+            fallbacks += segments.fallbacks
+        if chosen:
+            out[j] = [data.midpoint(j, p) for p in sorted(chosen)]
+    return out, fallbacks
+
+
+def _singular_segments_data(seed):
+    """x2 is exactly 0 wherever x1 < 4, so segments there have a singular
+    Gram; the break at x1 = 2 has such a segment on its left."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.uniform(0, 10, 160)
+    x2 = np.where(x1 < 4, 0.0, rng.uniform(0, 1, 160))
+    y = np.where(x1 <= 2, 1.0, 4.0) + 0.5 * x1 + x2 + rng.normal(0, 0.3, 160)
+    return Dataset(np.column_stack([x1, x2]), y)
+
+
+class TestMatchesCutByCutReference:
+    @pytest.mark.parametrize("require_improvement", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "setting, task, n",
+        [
+            ("reg1", "regression", 300),
+            ("reg2", "regression", 300),
+            ("cls1", "probit", 200),
+            ("cls2", "logistic", 200),  # x1 is discrete, with seven levels
+        ],
+    )
+    def test_bundled_designs(self, setting, task, n, seed, require_improvement):
+        rng = np.random.default_rng([seed, 77])
+        kwargs = {"link": task} if task != "regression" else {"sigma": 1.0}
+        data = generate(SETTINGS[setting], n, rng, **kwargs)
+        want, _ = reference_scan(data, task, require_improvement=require_improvement)
+        got = scan_candidates(data, task, require_improvement=require_improvement)
+        assert got == want
+
+    @pytest.mark.parametrize("require_improvement", [True, False])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_singular_segment_gram_takes_lstsq(self, seed, require_improvement):
+        data = _singular_segments_data(seed)
+        want, fallbacks = reference_scan(
+            data, "regression", require_improvement=require_improvement
+        )
+        assert fallbacks > 0
+        got = scan_candidates(data, "regression", require_improvement=require_improvement)
+        assert got == want
+
+    @pytest.mark.parametrize("task, level", [("regression", 0.0), ("logistic", 1.0)])
+    def test_exact_ties_take_the_first_cut(self, task, level):
+        # A constant response scores every segment by its size alone, so the
+        # cuts at b and n - b tie exactly and the first in cut order must win.
+        rng = np.random.default_rng(8)
+        data = Dataset(rng.uniform(0, 1, (90, 2)), np.full(90, level))
+        want, _ = reference_scan(data, task, require_improvement=False)
+        got = scan_candidates(data, task, require_improvement=False)
+        assert got == want
+        assert all(len(ts) == 3 for ts in got.values())
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_segment_rss_matches_one_solve_each(self, j):
+        data = _singular_segments_data(5)
+        ref = _ReferenceRegressionSegments(data, j)
+        lo = np.arange(0, data.n - 12, 7)
+        hi = np.minimum(lo + 12 + lo % 29, data.n)
+        got = _RegressionSegments(data, j).stat(lo, hi)
+        want = [ref.stat(int(a), int(b)) for a, b in zip(lo, hi)]
+        assert ref.fallbacks > 0
+        assert got.tolist() == want

@@ -15,7 +15,6 @@ from partwise import (
     ChangePointConfig,
     Dataset,
     induce_partition,
-    mdl_regression,
     select_features,
 )
 

@@ -19,9 +19,9 @@ from .bpso import (
     update_velocity,
 )
 from .estimator import FitOutcome, FitParams, fit_model, predict, predict_labels
-from .fitting import FitRequest, fit_logistic, fit_ols, fit_probit, fit_region
+from .fitting import fit_region
 from .io import load_model, load_table, save_model, split_response
-from .mdl import MdlBreakdown, mdl_binary, mdl_regression, mdl_score
+from .mdl import MdlBreakdown, mdl_score
 from .model import (
     ChangePointConfig,
     Dataset,
@@ -63,7 +63,6 @@ __all__ = [
     "Dataset",
     "FitOutcome",
     "FitParams",
-    "FitRequest",
     "FittedModel",
     "InputError",
     "InvalidConfigError",
@@ -87,18 +86,13 @@ __all__ = [
     "assign_regions",
     "evaluate_trial",
     "final_adjust",
-    "fit_logistic",
     "fit_model",
-    "fit_ols",
-    "fit_probit",
     "fit_region",
     "generate",
     "induce_partition",
     "init_swarm",
     "load_model",
     "load_table",
-    "mdl_binary",
-    "mdl_regression",
     "mdl_score",
     "mutate",
     "predict",

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import Dataset, ChangePointConfig, region_counts_for
+from .model import ChangePointConfig, Dataset, InputError, region_counts_for
 from .refine import ConfigScorer, ScoredConfig
 
 SHIFT_SPAN = 3  # random bit adjustments are drawn from {-3, ..., +3}
@@ -37,7 +37,6 @@ class BpsoParams:
     stall_iters: int = 5
     tol: float = 1e-12
     min_obs: int | None = None  # defaults to P when None
-    threads: int = 1  # worker threads for particle scoring
 
 
 @dataclass
@@ -74,49 +73,35 @@ def _rng(seed: int, stream: int, iteration: int, index: int) -> np.random.Genera
     return np.random.default_rng([seed & 0xFFFFFFFF, stream, iteration, index])
 
 
-def sigmoid(t):
-    return 1.0 / (1.0 + np.exp(-t))
-
-
 def update_velocity(
-    v_prev: float,
-    x_prev_bit: int,
-    pbest_bit: int,
-    gbest_bit: int,
+    v_prev,
+    x_prev,
+    pbest,
+    gbest,
     omega: float = 1.0,
     c1: float = 2.0,
     c2: float = 2.0,
-    rng: np.random.Generator | None = None,
-    r1: float | None = None,
-    r2: float | None = None,
-) -> float:
-    """One velocity-element update; result always lies in [0.5, 1).
+    *,
+    r1,
+    r2,
+):
+    """Velocity update, elementwise over scalars or arrays.
 
-    ``r1`` and ``r2`` default to fresh U(0,1) draws from ``rng``.
+    ``r1`` and ``r2`` are the U(0,1) draws.  Every result lies in [0.5, 1).
     """
-    if r1 is None or r2 is None:
-        if rng is None:
-            raise ValueError("need either rng or explicit r1/r2")
-        draws = rng.random(2)
-        r1 = draws[0] if r1 is None else r1
-        r2 = draws[1] if r2 is None else r2
     inner = (
         omega * v_prev
-        + c1 * r1 * (pbest_bit - x_prev_bit)
-        + c2 * r2 * (gbest_bit - x_prev_bit)
+        + c1 * r1 * (pbest - x_prev)
+        + c2 * r2 * (gbest - x_prev)
     )
-    return float(sigmoid(abs(inner)))
+    return 1.0 / (1.0 + np.exp(-np.abs(inner)))
 
 
-def update_particle_bit(
-    x_prev_bit: int, pbest_bit: int, gbest_bit: int, v_new: float, a: float = 0.5
-) -> int:
-    """Band rule: keep own bit, copy pbest's, or copy gbest's."""
-    if v_new <= a:
-        return x_prev_bit
-    if v_new <= 0.5 * (1.0 + a):
-        return pbest_bit
-    return gbest_bit
+def update_particle_bit(x_prev, pbest, gbest, v_new, a: float = 0.5):
+    """Band rule, elementwise: keep the own bit where ``v_new <= a``, copy
+    pbest's where ``v_new <= (1 + a) / 2``, and copy gbest's above that."""
+    band = 0.5 * (1.0 + a)
+    return np.where(v_new <= a, x_prev, np.where(v_new <= band, pbest, gbest))
 
 
 def _candidate_pairs(
@@ -201,7 +186,7 @@ def init_swarm(
     else:
         N = params.swarm_size
         if N < 3:
-            raise ValueError("swarm_size must be at least 3")
+            raise InputError("swarm_size must be at least 3")
         half = math.ceil(N / 2)
         particles = []
         for i in range(N):
@@ -318,40 +303,29 @@ def _advance(
     """Velocity + position updates and rescoring for one iteration."""
     min_obs = data.P if params.min_obs is None else params.min_obs
     gb = swarm.gbest.bits.astype(np.float64)
-    gbits = swarm.gbest.bits
-    band = 0.5 * (1.0 + params.a)
-
-    def step(i: int) -> Particle:
-        particle = swarm.particles[i]
+    for i, particle in enumerate(swarm.particles):
+        pbest = swarm.pbest[i]
         rng = _rng(seed, 1, iteration, i)
         r = rng.random((2,) + particle.bits.shape)
-        x = particle.bits.astype(np.float64)
-        pb = swarm.pbest[i].bits.astype(np.float64)
-        inner = (
-            params.omega * swarm.velocities[i]
-            + params.c1 * r[0] * (pb - x)
-            + params.c2 * r[1] * (gb - x)
+        v = update_velocity(
+            swarm.velocities[i],
+            particle.bits.astype(np.float64),
+            pbest.bits.astype(np.float64),
+            gb,
+            params.omega,
+            params.c1,
+            params.c2,
+            r1=r[0],
+            r2=r[1],
         )
-        v = sigmoid(np.abs(inner))
         swarm.velocities[i] = v
-        bits = np.where(
-            v <= params.a,
-            particle.bits,
-            np.where(v <= band, swarm.pbest[i].bits, gbits),
+        bits = update_particle_bit(
+            particle.bits, pbest.bits, swarm.gbest.bits, v, params.a
         )
-        return _make_particle(bits.copy(), data, min_obs, rng, scorer)
-
-    if params.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            moved = list(pool.map(step, range(swarm.size)))
-    else:
-        moved = [step(i) for i in range(swarm.size)]
-    for i, particle in enumerate(moved):
-        swarm.particles[i] = particle
-        if particle.score < swarm.pbest[i].score:
-            swarm.pbest[i] = Particle(particle.bits.copy(), particle.key, particle.score)
+        moved = _make_particle(bits, data, min_obs, rng, scorer)
+        swarm.particles[i] = moved
+        if moved.score < pbest.score:
+            swarm.pbest[i] = Particle(moved.bits.copy(), moved.key, moved.score)
 
 
 def _refresh_gbest(swarm: SwarmState) -> None:

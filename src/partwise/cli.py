@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--c2", type=float, default=2.0)
     fit.add_argument("--a", type=float, default=0.5)
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--threads", type=int, default=None)
     fit.add_argument("--delim", default=",")
     fit.add_argument("--out", required=True, help="model document path")
 
@@ -94,7 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="link for classification settings")
     sim.add_argument("--trials", type=int, default=50)
     sim.add_argument("--seed", type=int, default=1)
-    sim.add_argument("--threads", type=int, default=None)
+    sim.add_argument("--threads", type=int, default=None,
+                     help="worker processes for the trials "
+                          "(default $PARTWISE_THREADS, else 1)")
     sim.add_argument("--out", default=None,
                      help="optional path for the per-trial table")
     return parser
@@ -150,7 +151,6 @@ def _cmd_fit(args) -> int:
             max_iter=args.max_iter,
         ),
         seed=args.seed,
-        threads=_threads(args.threads),
     )
     outcome = fit_model(data, args.task, params, response_name=response)
     save_model(outcome.model, args.out)

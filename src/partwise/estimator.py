@@ -7,7 +7,7 @@ adjustment, and per-region feature selection into a single fitted model.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class FitParams:
     swarm: BpsoParams = field(default_factory=BpsoParams)
     shift_radius: int = 3
     seed: int = 0
-    threads: int = 1
 
 
 @dataclass
@@ -82,12 +81,9 @@ def fit_model(
         min_segment,
         require_improvement=False,
     )
-    swarm_params = params.swarm
-    if params.threads > 1 and swarm_params.threads <= 1:
-        swarm_params = replace(swarm_params, threads=params.threads)
-    scorer = ConfigScorer(data, task, min_obs=swarm_params.min_obs)
+    scorer = ConfigScorer(data, task, min_obs=params.swarm.min_obs)
     result = run_bpso(
-        data, task, candidates, swarm_params, seed=params.seed, scorer=scorer
+        data, task, candidates, params.swarm, seed=params.seed, scorer=scorer
     )
     # Iterate the adjustment to a fixpoint: each pass only shifts around the
     # positions it was handed, so chained moves need repeated passes.  The

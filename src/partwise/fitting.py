@@ -1,23 +1,22 @@
 """Per-region parameter estimation.
 
-Ordinary least squares for regression; damped-Newton maximum likelihood for
-the logistic and probit links.  All functions are pure and safe to call
-concurrently.
+``RegionDesign`` is the one region-fitting kernel: ordinary least squares
+for regression (one Cholesky solve of the cached Gram per mask) and
+damped-Newton maximum likelihood for the logistic and probit links.
+``fit_region`` fits one mask through it, and ``single_class_fit`` holds the
+rule for single-class regions, which have no interior maximum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import expit, log_ndtr, ndtr
+from scipy.special import expit, log_ndtr, ndtr, ndtri
 
 from .model import (
-    CLASSIFICATION_TASKS,
     TASK_LOGISTIC,
-    TASK_PROBIT,
     TASK_REGRESSION,
     Dataset,
     RegionFit,
@@ -32,21 +31,6 @@ NEWTON_TOL = 1e-10
 RIDGE = 1e-6
 COND_LIMIT = 1e12
 DEGENERATE_CLIP = 1e-6
-
-
-@dataclass
-class FitRequest:
-    """Rows, variable mask (index 0 = intercept), and task for one region."""
-
-    rows: np.ndarray
-    mask: np.ndarray
-    task: str
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.rows.size == 0:
-            raise ValueError("rows must be nonempty")
 
 
 def full_design(data: Dataset, rows: np.ndarray) -> np.ndarray:
@@ -87,29 +71,6 @@ def _solve_spd(G: np.ndarray, c: np.ndarray) -> np.ndarray:
     if L is None or cond > COND_LIMIT:
         raise SingularFitError("rank-deficient design")
     return dpotrs(L, c, lower=1)[0]
-
-
-def fit_ols(data: Dataset, req: FitRequest) -> RegionFit:
-    """Least-squares fit of the masked linear model on one region.
-
-    Returns the coefficient vector minimizing the residual sum of squares;
-    ``fit_stat`` is that RSS.  Raises SingularFitError when the masked
-    design is rank deficient (callers treat such masks as infeasible).
-    """
-    if req.task != TASK_REGRESSION:
-        raise ValueError(f"fit_ols called with task {req.task!r}")
-    y = data.y[req.rows]
-    s = int(req.mask.sum())
-    if s == 0:
-        return RegionFit(req.mask, np.empty(0), float(y @ y))
-    if req.rows.size < s:
-        raise SingularFitError(
-            f"{req.rows.size} rows cannot identify {s} coefficients"
-        )
-    D = full_design(data, req.rows)[:, req.mask]
-    beta = _solve_spd(D.T @ D, D.T @ y)
-    resid = y - D @ beta
-    return RegionFit(req.mask, beta, float(resid @ resid))
 
 
 # -- Bernoulli log-likelihoods ------------------------------------------
@@ -168,15 +129,6 @@ def link_inverse(task: str, t: np.ndarray) -> np.ndarray:
     if task == TASK_LOGISTIC:
         return expit(t)
     return ndtr(t)
-
-
-def link_forward(task: str, p: float) -> float:
-    """Linear predictor with success probability ``p``."""
-    if task == TASK_LOGISTIC:
-        return float(np.log(p / (1.0 - p)))
-    from scipy.special import ndtri
-
-    return float(ndtri(p))
 
 
 def _newton_glm(D, y, task, beta0=None):
@@ -241,55 +193,19 @@ def _newton_glm(D, y, task, beta0=None):
     return beta, classification_nll(task, t, y), converged, penalized or not converged
 
 
-def _fit_binary(data: Dataset, req: FitRequest, beta0=None) -> RegionFit:
-    y = data.y[req.rows]
-    # Single-class regions have no interior MLE: return an intercept-only
-    # fit at a clipped success probability.
-    if y.size and (y.min() == y.max()):
-        p = float(np.clip(y[0], DEGENERATE_CLIP, 1.0 - DEGENERATE_CLIP))
-        b0 = link_forward(req.task, p)
-        t = np.full(y.size, b0)
-        mask = np.zeros(data.P + 1, dtype=bool)
-        mask[0] = True
-        return RegionFit(
-            mask, np.array([b0]), classification_nll(req.task, t, y), stabilized=True
-        )
-    D = full_design(data, req.rows)[:, req.mask]
-    beta, nll, _converged, stabilized = _newton_glm(D, y, req.task, beta0)
-    return RegionFit(req.mask, beta, nll, stabilized=stabilized)
+def single_class_fit(task: str, y: np.ndarray) -> tuple[float, float]:
+    """Intercept and NLL of a region whose responses are all 0 or all 1.
 
-
-def fit_logistic(data: Dataset, req: FitRequest, beta0=None) -> RegionFit:
-    """Maximum-likelihood logistic fit on one region.
-
-    ``fit_stat`` is ``-sum_i [y_i x_i'b - log(1 + exp(x_i'b))]``.  Regions
-    with an all-0 or all-1 response degenerate to an intercept-only fit at
-    a clipped probability; separated or ill-conditioned fits return the
-    ridge-stabilized solution flagged ``stabilized``.
+    Such a region has no interior maximum-likelihood estimate, so its fit is
+    intercept-only at the observed class's probability clipped to
+    ``[DEGENERATE_CLIP, 1 - DEGENERATE_CLIP]``.
     """
-    if req.task != TASK_LOGISTIC:
-        raise ValueError(f"fit_logistic called with task {req.task!r}")
-    return _fit_binary(data, req, beta0)
-
-
-def fit_probit(data: Dataset, req: FitRequest, beta0=None) -> RegionFit:
-    """As :func:`fit_logistic` with the probit link.
-
-    The normal cdf is evaluated through scipy's erfc-based ``ndtr`` and the
-    log-probabilities through the tail-safe ``log_ndtr``.
-    """
-    if req.task != TASK_PROBIT:
-        raise ValueError(f"fit_probit called with task {req.task!r}")
-    return _fit_binary(data, req, beta0)
-
-
-def fit_region(data: Dataset, req: FitRequest, beta0=None) -> RegionFit:
-    """Dispatch on ``req.task``."""
-    if req.task == TASK_REGRESSION:
-        return fit_ols(data, req)
-    if req.task in CLASSIFICATION_TASKS:
-        return _fit_binary(data, req, beta0)
-    raise ValueError(f"unknown task {req.task!r}")
+    p = float(np.clip(y[0], DEGENERATE_CLIP, 1.0 - DEGENERATE_CLIP))
+    if task == TASK_LOGISTIC:
+        b0 = float(np.log(p / (1.0 - p)))
+    else:
+        b0 = float(ndtri(p))
+    return b0, classification_nll(task, np.full(y.size, b0), y)
 
 
 class RegionDesign:
@@ -297,7 +213,9 @@ class RegionDesign:
 
     Masks are encoded as integers with bit ``i`` selecting design column
     ``i`` (bit 0 = intercept).  For regression the Gram matrix is formed
-    once, so each mask costs one small Cholesky solve.
+    once, so each mask costs one small Cholesky solve.  A classification
+    region with a single class (``single_class``) gets the intercept-only
+    fit of :func:`single_class_fit` whatever the mask.
     """
 
     def __init__(self, data: Dataset, rows: np.ndarray, task: str):
@@ -311,7 +229,9 @@ class RegionDesign:
             self.G = self.D.T @ self.D
             self.c = self.D.T @ self.y
             self.yty = float(self.y @ self.y)
-        self._constant_response = bool(self.y.size) and self.y.min() == self.y.max()
+        self.single_class = (
+            task != TASK_REGRESSION and self.n_r > 0 and self.y.min() == self.y.max()
+        )
 
     def fit_mask(self, mask_int: int, cols: np.ndarray, ix: tuple):
         """``(beta, fit_stat, stabilized)`` for a mask, or None if infeasible.
@@ -337,11 +257,37 @@ class RegionDesign:
                 return None
             rss = max(self.yty - float(beta @ self.c[cols]), 0.0)
             return beta, rss, False
-        if self._constant_response:
-            p = float(np.clip(self.y[0], DEGENERATE_CLIP, 1.0 - DEGENERATE_CLIP))
-            b0 = link_forward(self.task, p)
-            t = np.full(self.n_r, b0)
-            nll = classification_nll(self.task, t, self.y)
+        if self.single_class:
+            b0, nll = single_class_fit(self.task, self.y)
             return np.array([b0]), nll, True
         beta, nll, _conv, stab = _newton_glm(self.D[:, cols], self.y, self.task)
         return beta, nll, stab
+
+
+def fit_region(
+    data: Dataset, rows: np.ndarray, mask: np.ndarray, task: str
+) -> RegionFit:
+    """Fit the masked submodel (index 0 = intercept) on one region's rows.
+
+    ``fit_stat`` is the residual sum of squares for regression and the
+    negative log-likelihood for the binary links.  Raises SingularFitError
+    when a regression design is rank deficient or has more columns than
+    rows.  A single-class region returns its intercept-only fit, flagged
+    ``stabilized``, whatever ``mask`` asks for.
+    """
+    data.validate_task(task)
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError("rows must be nonempty")
+    mask = np.asarray(mask, dtype=bool)
+    design = RegionDesign(data, rows, task)
+    cols = np.flatnonzero(mask)
+    mask_int = sum(1 << int(i) for i in cols)
+    res = design.fit_mask(mask_int, cols, np.ix_(cols, cols))
+    if res is None:
+        raise SingularFitError("rank-deficient design")
+    beta, stat, stabilized = res
+    if design.single_class:
+        mask = np.zeros(data.P + 1, dtype=bool)
+        mask[0] = True
+    return RegionFit(mask, beta, stat, stabilized=stabilized)

@@ -1,8 +1,9 @@
 """Two-part MDL scores for partition-wise models.
 
-Code lengths use base-2 logs; the Gaussian residual term uses the natural
-log.  The breakdown keeps the four parts separate so reports can audit each
-term.
+``mdl_score`` is the one entry point; regression and the binary links share
+its three structural parts and differ only in the residual part.  Code
+lengths use base-2 logs; the Gaussian residual term uses the natural log.
+The breakdown keeps the four parts separate so reports can audit each term.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (
-    ChangePointConfig,
-    Dataset,
-    PartitionGrid,
-    RegionFit,
-    TASK_REGRESSION,
-)
+from .model import Dataset, PartitionGrid, RegionFit, TASK_REGRESSION
 
 SIGMA2_FLOOR = 1e-12
 
@@ -47,23 +42,28 @@ class MdlBreakdown:
     residual_code: float
     total: float
 
-    @classmethod
-    def from_parts(cls, predictor, per_predictor, region_param, residual):
-        return cls(
-            predictor_code=predictor,
-            per_predictor_code=per_predictor,
-            region_param_code=region_param,
-            residual_code=residual,
-            total=predictor + per_predictor + region_param + residual,
-        )
+
+def residual_code_regression(n: int, rss_total: float) -> float:
+    """``(n/2) log(sigma2_hat)`` with the variance floored at SIGMA2_FLOOR."""
+    sigma2 = max(rss_total / n, SIGMA2_FLOOR)
+    return 0.5 * n * math.log(sigma2)
 
 
-def structural_parts(
-    P: int, grid: PartitionGrid, region_s: Sequence[int]
-) -> tuple[float, float, float]:
-    """The three model-code parts shared by the regression and binary scores."""
+def mdl_score(
+    data: Dataset,
+    grid: PartitionGrid,
+    fits: Sequence[RegionFit],
+    task: str,
+) -> MdlBreakdown:
+    """MDL score of a partition-wise model.
+
+    ``fits`` must hold one fit per region of ``grid`` in region order.  For
+    regression their ``fit_stat`` values are the region RSS terms and the
+    residual part is ``(n/2) log(sigma2_hat)``; for the logistic and probit
+    links they are the region negative log-likelihoods, summed.
+    """
     B = len(grid.break_predictors)
-    predictor_code = B * math.log2(P)
+    predictor_code = B * math.log2(data.P)
     per_predictor = 0.0
     for counts in grid.segment_counts:
         if counts.min() < 1:
@@ -75,64 +75,15 @@ def structural_parts(
     if grid.region_counts.min() < 1:
         raise ValueError("MDL is undefined for empty regions")
     log2R = math.log2(grid.R)
-    region_param = float(
-        np.sum(log2R + 0.5 * np.asarray(region_s) * np.log2(grid.region_counts))
-    )
-    return predictor_code, per_predictor, region_param
-
-
-def residual_code_regression(n: int, rss_total: float) -> float:
-    """``(n/2) log(sigma2_hat)`` with the variance floored at SIGMA2_FLOOR."""
-    sigma2 = max(rss_total / n, SIGMA2_FLOOR)
-    return 0.5 * n * math.log(sigma2)
-
-
-def mdl_regression(
-    data: Dataset,
-    config: ChangePointConfig,
-    grid: PartitionGrid,
-    fits: Sequence[RegionFit],
-) -> MdlBreakdown:
-    """MDL score of a partition-wise linear regression model.
-
-    ``fits`` must hold one least-squares fit per region of ``grid`` in
-    region order; their ``fit_stat`` values are the region RSS terms.
-    """
-    pred, per_pred, region = structural_parts(
-        data.P, grid, [f.s for f in fits]
-    )
-    rss_total = float(sum(f.fit_stat for f in fits))
-    residual = residual_code_regression(data.n, rss_total)
-    return MdlBreakdown.from_parts(pred, per_pred, region, residual)
-
-
-def mdl_binary(
-    data: Dataset,
-    config: ChangePointConfig,
-    grid: PartitionGrid,
-    fits: Sequence[RegionFit],
-    link: str,
-) -> MdlBreakdown:
-    """MDL score of a partition-wise logistic or probit model.
-
-    Structurally identical to the regression score; the residual part is
-    the summed per-region negative log-likelihood.
-    """
-    pred, per_pred, region = structural_parts(
-        data.P, grid, [f.s for f in fits]
-    )
+    region_s = np.asarray([f.s for f in fits])
+    region_param = float(np.sum(log2R + 0.5 * region_s * np.log2(grid.region_counts)))
     residual = float(sum(f.fit_stat for f in fits))
-    return MdlBreakdown.from_parts(pred, per_pred, region, residual)
-
-
-def mdl_score(
-    data: Dataset,
-    config: ChangePointConfig,
-    grid: PartitionGrid,
-    fits: Sequence[RegionFit],
-    task: str,
-) -> MdlBreakdown:
-    """Dispatch to the regression or binary criterion by task."""
     if task == TASK_REGRESSION:
-        return mdl_regression(data, config, grid, fits)
-    return mdl_binary(data, config, grid, fits, task)
+        residual = residual_code_regression(data.n, residual)
+    return MdlBreakdown(
+        predictor_code=predictor_code,
+        per_predictor_code=per_predictor,
+        region_param_code=region_param,
+        residual_code=residual,
+        total=predictor_code + per_predictor + region_param + residual,
+    )

@@ -15,11 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .fitting import RegionDesign, _fit_binary, FitRequest
+from .fitting import RegionDesign, single_class_fit
 from .mdl import MdlBreakdown, SIGMA2_FLOOR, mdl_score
 from .model import (
     ChangePointConfig,
@@ -62,10 +61,6 @@ def _masks_for(n_params: int):
     return table
 
 
-def _bools_to_mask(bools: Sequence[int]) -> np.ndarray:
-    return np.array(bools, dtype=bool)
-
-
 def _stepwise_candidates(current: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Single-bit add/drop neighbours of a mask, as lex tuples."""
     out = []
@@ -80,7 +75,6 @@ def _stepwise_candidates(current: tuple[int, ...]) -> list[tuple[int, ...]]:
 class SelectionResult:
     """Feature-selection outcome for a fixed partition."""
 
-    masks: list[np.ndarray]
     fits: list[RegionFit]
     breakdown: MdlBreakdown
 
@@ -176,9 +170,12 @@ def select_features(
         hit = region_cache.get(ck) if ck is not None else None
         if hit is None:
             design = RegionDesign(data, rows, task)
-            if task != TASK_REGRESSION and design._constant_response:
-                full = np.ones(n_params, dtype=bool)
-                hit = ("fixed", _fit_binary(data, FitRequest(rows, full, task)))
+            if design.single_class:
+                b0, nll = single_class_fit(task, design.y)
+                intercept = np.zeros(n_params, dtype=bool)
+                intercept[0] = True
+                fit = RegionFit(intercept, np.array([b0]), nll, stabilized=True)
+                hit = ("fixed", fit)
             else:
                 menu = _region_menu(design, n_params, exhaustive)
                 if not menu:
@@ -191,7 +188,7 @@ def select_features(
         else:
             menus[r] = hit[1]
 
-    def pick(r, chosen, stats):
+    def pick(r, stats):
         """Best menu entry for region r given the other regions' stats."""
         menu = menus[r]
         if task == TASK_REGRESSION:
@@ -233,7 +230,7 @@ def select_features(
         for r in range(R):
             if r in fixed:
                 continue
-            entry = pick(r, chosen, stats)
+            entry = pick(r, stats)
             if entry is not chosen[r]:
                 changed = True
                 chosen[r] = entry
@@ -241,22 +238,16 @@ def select_features(
         if not changed:
             break
 
-    masks = []
     fits = []
     for r in range(R):
         if r in fixed:
             fits.append(fixed[r])
-            masks.append(fixed[r].mask)
         else:
             s, bools, mask_int, stat, beta, stab = chosen[r]
-            mask = _bools_to_mask(bools)
+            mask = np.array(bools, dtype=bool)
             fits.append(RegionFit(mask, beta, stat, stabilized=stab))
-            masks.append(mask)
-    config = ChangePointConfig(
-        {j: ts for j, ts in zip(grid.break_predictors, grid.thresholds)}
-    )
-    breakdown = mdl_score(data, config, grid, fits, task)
-    return SelectionResult(masks=masks, fits=fits, breakdown=breakdown)
+    breakdown = mdl_score(data, grid, fits, task)
+    return SelectionResult(fits=fits, breakdown=breakdown)
 
 
 @dataclass

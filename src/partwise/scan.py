@@ -19,15 +19,9 @@ import math
 
 import numpy as np
 
-from .fitting import (
-    DEGENERATE_CLIP,
-    _newton_glm,
-    classification_nll,
-    full_design,
-    link_forward,
-)
+from .fitting import _newton_glm, full_design, single_class_fit
 from .mdl import residual_code_regression
-from .model import Dataset, TASK_REGRESSION
+from .model import Dataset, InputError, TASK_REGRESSION
 
 DEFAULT_MAX_PER_PREDICTOR = 3
 
@@ -108,9 +102,7 @@ class _BinarySegments:
         D = self._D[lo:hi]
         y = self._y[lo:hi]
         if y.min() == y.max():
-            p = float(np.clip(y[0], DEGENERATE_CLIP, 1.0 - DEGENERATE_CLIP))
-            t = np.full(y.size, link_forward(self.task, p))
-            return classification_nll(self.task, t, y)
+            return single_class_fit(self.task, y)[1]
         beta, nll, _conv, _stab = _newton_glm(D, y, self.task, self._beta.get(parent))
         self._beta[(lo, hi)] = beta
         return nll
@@ -279,11 +271,11 @@ def scan_candidates(
     """
     data.validate_task(task)
     if max_per_predictor < 1:
-        raise ValueError("max_per_predictor must be at least 1")
+        raise InputError("max_per_predictor must be at least 1")
     if min_segment is None:
         min_segment = default_min_segment(data.P)
     elif min_segment < data.P + 2:
-        raise ValueError(f"min_segment must be at least P + 2 = {data.P + 2}")
+        raise InputError(f"min_segment must be at least P + 2 = {data.P + 2}")
     # log2[c] == math.log2(c), so vectorized code lengths match scalar ones.
     log2 = np.array([-np.inf] + [math.log2(c) for c in range(1, data.n + 1)])
     out: dict[int, list[float]] = {}

@@ -21,6 +21,7 @@ from .model import (
     ChangePointConfig,
     Dataset,
     FittedModel,
+    InputError,
     TASK_LOGISTIC,
     TASK_REGRESSION,
     assign_regions,
@@ -155,7 +156,7 @@ def generate(
     the link (classification).
     """
     if n < 50:
-        raise ValueError("n must be at least 50")
+        raise InputError("n must be at least 50")
     X = np.column_stack([spec.draw(n, rng) for spec in setting.predictors])
     regions = assign_regions({j: ts for j, ts in setting.true_breaks}, X)
     D = np.column_stack([np.ones(n), X])

@@ -17,9 +17,9 @@ from partwise import (
     BpsoParams,
     Dataset,
     final_adjust,
+    fit_region,
     induce_partition,
-    mdl_binary,
-    mdl_regression,
+    mdl_score,
     run_bpso,
     scan_candidates,
     select_features,
@@ -28,8 +28,6 @@ from partwise import (
 from partwise.bpso import _candidate_pairs, mutate
 import partwise.bpso as bpso_mod
 from partwise.fitting import (
-    FitRequest,
-    fit_ols,
     full_design,
     logistic_grad_hess,
     logistic_nll,
@@ -65,10 +63,7 @@ def test_criterion_1_formula_oracle():
             continue
         fits = synthetic_fits(rng, grid, d.P)
         task = "regression" if checked % 2 == 0 else "logistic"
-        if task == "regression":
-            got = mdl_regression(d, cfg, grid, fits).total
-        else:
-            got = mdl_binary(d, cfg, grid, fits, "logistic").total
+        got = mdl_score(d, grid, fits, task).total
         want = reference_mdl(d.P, d.n, cfg, grid, fits, task)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-9
@@ -232,7 +227,7 @@ def test_criterion_7_property_suites():
         X = r2.normal(0, 2, (40, 3))
         y = r2.normal(0, 3, 40)
         d = Dataset(X, y)
-        fit = fit_ols(d, FitRequest(np.arange(40), np.ones(4, bool), "regression"))
+        fit = fit_region(d, np.arange(40), np.ones(4, bool), "regression")
         D = full_design(d, np.arange(40))[:, fit.mask]
         resid = y - D @ fit.beta
         assert np.abs(D.T @ resid).max() < 1e-6 * np.linalg.norm(y)
@@ -294,12 +289,12 @@ def test_criterion_7_property_suites():
         feasible_full = True
         for rows in grid.memberships:
             try:
-                fits.append(fit_ols(d, FitRequest(rows, full, "regression")))
+                fits.append(fit_region(d, rows, full, "regression"))
             except Exception:
                 feasible_full = False
                 break
         if feasible_full:
-            assert sel.total <= mdl_regression(d, cfg, grid, fits).total + 1e-9
+            assert sel.total <= mdl_score(d, grid, fits, "regression").total + 1e-9
         before = scorer.score_key(key).total
         out = final_adjust(d, "regression", cfg, scorer=scorer)
         assert out.total <= before + 1e-12
@@ -308,16 +303,13 @@ def test_criterion_7_property_suites():
     # velocity range on 10,000 random inputs
     rng = np.random.default_rng(13)
     for _ in range(10_000):
-        v = update_velocity(
-            float(rng.uniform(0, 1)),
-            int(rng.integers(2)),
-            int(rng.integers(2)),
-            int(rng.integers(2)),
-            omega=float(rng.uniform(0.5, 1.5)),
-            c1=float(rng.uniform(0, 3)),
-            c2=float(rng.uniform(0, 3)),
-            rng=rng,
-        )
+        v_prev = float(rng.uniform(0, 1))
+        bits = [int(rng.integers(2)) for _ in range(3)]
+        omega = float(rng.uniform(0.5, 1.5))
+        c1 = float(rng.uniform(0, 3))
+        c2 = float(rng.uniform(0, 3))
+        r1, r2 = rng.random(2)
+        v = update_velocity(v_prev, *bits, omega=omega, c1=c1, c2=c2, r1=r1, r2=r2)
         assert 0.5 <= v < 1.0
     notes.append("velocity in [0.5, 1) 10k ok")
 

@@ -37,19 +37,25 @@ class TestVelocity:
     def test_range_half_to_one(self):
         rng = np.random.default_rng(5)
         for _ in range(2000):
-            v = update_velocity(
-                float(rng.uniform(0, 1)),
-                int(rng.integers(2)),
-                int(rng.integers(2)),
-                int(rng.integers(2)),
-                rng=rng,
-            )
+            v_prev = float(rng.uniform(0, 1))
+            bits = [int(rng.integers(2)) for _ in range(3)]
+            r1, r2 = rng.random(2)
+            v = update_velocity(v_prev, *bits, r1=r1, r2=r2)
             assert 0.5 <= v < 1.0
 
-    def test_draws_from_rng_when_not_given(self):
-        a = update_velocity(0.2, 0, 1, 0, rng=np.random.default_rng(9))
-        b = update_velocity(0.2, 0, 1, 0, rng=np.random.default_rng(9))
-        assert a == b
+    def test_array_call_matches_scalar_oracles(self):
+        # The stationary particle and the hand-worked example above, side
+        # by side in one array call.
+        v = update_velocity(
+            np.zeros(2),
+            np.zeros(2),
+            np.array([0.0, 1.0]),
+            np.array([0.0, 1.0]),
+            r1=np.array([0.3, 0.5]),
+            r2=np.array([0.9, 0.5]),
+        )
+        assert v[0] == 0.5
+        assert v[1] == pytest.approx(0.8807970779778823, abs=1e-12)
 
 
 class TestParticleBit:
@@ -66,6 +72,17 @@ class TestParticleBit:
     def test_band_edges(self):
         assert update_particle_bit(1, 0, 0, 0.75, a=0.5) == 0  # pbest band edge
         assert update_particle_bit(1, 1, 0, 0.7500001, a=0.5) == 0  # gbest band
+
+    def test_array_call_matches_scalar_oracles(self):
+        # Every scalar case above, one element each.
+        got = update_particle_bit(
+            np.array([1, 0, 0, 0, 1, 1]),
+            np.array([0, 1, 1, 0, 0, 1]),
+            np.array([0, 0, 1, 1, 0, 0]),
+            np.array([0.5, 0.6, 0.8807970779778823, 0.76, 0.75, 0.7500001]),
+            a=0.5,
+        )
+        assert got.tolist() == [1, 1, 1, 1, 0, 0]
 
 
 class TestInitSwarm:

@@ -14,9 +14,7 @@ class TestFitModel:
         data = generate(SETTINGS["reg1"], 150, rng, sigma=1.0)
         model = fit_model(data, "regression", FitParams(seed=4)).model
         grid = induce_partition(data, model.config)
-        recomputed = mdl_score(
-            data, model.config, grid, model.region_fits, model.task
-        )
+        recomputed = mdl_score(data, grid, model.region_fits, model.task)
         assert model.mdl.total == pytest.approx(recomputed.total, abs=1e-9)
 
     def test_mdl_matches_recomputation_classification(self):
@@ -24,9 +22,7 @@ class TestFitModel:
         data = generate(SETTINGS["cls2"], 200, rng, link="logistic")
         model = fit_model(data, "logistic", FitParams(seed=4)).model
         grid = induce_partition(data, model.config)
-        recomputed = mdl_score(
-            data, model.config, grid, model.region_fits, model.task
-        )
+        recomputed = mdl_score(data, grid, model.region_fits, model.task)
         assert model.mdl.total == pytest.approx(recomputed.total, abs=1e-9)
 
     def test_sigma2_hat_consistency(self):
@@ -45,19 +41,6 @@ class TestFitModel:
             out = fit_model(data, "regression", FitParams(seed=0))
         assert out.model.config.B == 0
         assert out.candidates == {}
-
-    def test_thread_count_does_not_change_numbers(self):
-        from partwise.io import dumps_document, model_to_document
-
-        rng = np.random.default_rng(10)
-        data = generate(SETTINGS["reg1"], 150, rng, sigma=1.0)
-        docs = []
-        for threads in (1, 2):
-            model = fit_model(
-                data, "regression", FitParams(seed=6, threads=threads)
-            ).model
-            docs.append(dumps_document(model_to_document(model)))
-        assert docs[0] == docs[1]
 
     def test_outcome_diagnostics(self):
         rng = np.random.default_rng(7)

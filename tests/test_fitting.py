@@ -4,10 +4,9 @@ from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrs
 from scipy.special import expit, ndtr
 
-from partwise import Dataset, SingularFitError, fit_logistic, fit_ols, fit_probit
+from partwise import Dataset, SingularFitError, fit_region
 from partwise.fitting import (
     COND_LIMIT,
-    FitRequest,
     _cholesky,
     _solve_spd,
     full_design,
@@ -18,6 +17,10 @@ from partwise.fitting import (
 )
 
 LOG2 = float(np.log(2.0))
+LINKS = [
+    pytest.param("logistic", id="logistic-fit_logistic"),
+    pytest.param("probit", id="probit-fit_probit"),
+]
 
 
 def all_rows(d):
@@ -31,7 +34,7 @@ def full_mask(d):
 class TestOls:
     def test_exact_interpolation(self):
         d = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, 3.0]))
-        fit = fit_ols(d, FitRequest(all_rows(d), full_mask(d), "regression"))
+        fit = fit_region(d, all_rows(d), full_mask(d), "regression")
         assert fit.beta == pytest.approx([1.0, 2.0], abs=1e-12)
         assert fit.fit_stat == pytest.approx(0.0, abs=1e-12)
 
@@ -40,14 +43,14 @@ class TestOls:
         y = rng.normal(3.0, 1.0, 25)
         d = Dataset(rng.uniform(0, 1, (25, 2)), y)
         mask = np.array([True, False, False])
-        fit = fit_ols(d, FitRequest(all_rows(d), mask, "regression"))
+        fit = fit_region(d, all_rows(d), mask, "regression")
         assert fit.beta == pytest.approx([y.mean()], rel=1e-12)
         assert fit.fit_stat == pytest.approx(float(np.sum((y - y.mean()) ** 2)))
 
     def test_empty_mask(self):
         y = np.array([1.0, 2.0, -1.0])
         d = Dataset(np.zeros((3, 1)) + [[0.1], [0.2], [0.3]], y)
-        fit = fit_ols(d, FitRequest(all_rows(d), np.array([False, False]), "regression"))
+        fit = fit_region(d, all_rows(d), np.array([False, False]), "regression")
         assert fit.s == 0
         assert fit.fit_stat == pytest.approx(float(y @ y))
 
@@ -59,7 +62,7 @@ class TestOls:
         beta_true = np.array([1.5, -0.5, 2.0, 0.25])
         y = beta_true[0] + X @ beta_true[1:] + rng.normal(0, 0.5, 12)
         d = Dataset(X, y)
-        fit = fit_ols(d, FitRequest(all_rows(d), full_mask(d), "regression"))
+        fit = fit_region(d, all_rows(d), full_mask(d), "regression")
         expected_beta = [
             1.6892797469163254,
             -0.5553674491316951,
@@ -74,12 +77,12 @@ class TestOls:
         X = np.column_stack([np.linspace(0, 1, 10), np.linspace(0, 1, 10)])
         d = Dataset(X, np.arange(10.0))
         with pytest.raises(SingularFitError):
-            fit_ols(d, FitRequest(all_rows(d), full_mask(d), "regression"))
+            fit_region(d, all_rows(d), full_mask(d), "regression")
 
     def test_underdetermined_raises(self):
         d = Dataset(np.random.default_rng(0).uniform(0, 1, (2, 3)), np.zeros(2))
         with pytest.raises(SingularFitError):
-            fit_ols(d, FitRequest(np.array([0, 1]), full_mask(d), "regression"))
+            fit_region(d, np.array([0, 1]), full_mask(d), "regression")
 
     def test_residual_orthogonality_random(self):
         for seed in range(25):
@@ -88,7 +91,7 @@ class TestOls:
             X = rng.normal(0, 2, (n, 3))
             y = rng.normal(0, 3, n)
             d = Dataset(X, y)
-            fit = fit_ols(d, FitRequest(all_rows(d), full_mask(d), "regression"))
+            fit = fit_region(d, all_rows(d), full_mask(d), "regression")
             D = full_design(d, all_rows(d))[:, fit.mask]
             resid = y - D @ fit.beta
             assert np.abs(D.T @ resid).max() < 1e-6 * np.linalg.norm(y)
@@ -101,8 +104,8 @@ class TestOls:
             d = Dataset(X, y)
             small = np.array([True, True, False, False])
             big = np.array([True, True, True, False])
-            f_small = fit_ols(d, FitRequest(all_rows(d), small, "regression"))
-            f_big = fit_ols(d, FitRequest(all_rows(d), big, "regression"))
+            f_small = fit_region(d, all_rows(d), small, "regression")
+            f_big = fit_region(d, all_rows(d), big, "regression")
             assert f_big.fit_stat <= f_small.fit_stat + 1e-9
 
 
@@ -110,16 +113,14 @@ class TestLogistic:
     def test_empty_mask_null_deviance(self):
         rng = np.random.default_rng(3)
         d = Dataset(rng.normal(0, 1, (40, 2)), (rng.random(40) < 0.5).astype(float))
-        fit = fit_logistic(
-            d, FitRequest(all_rows(d), np.zeros(3, dtype=bool), "logistic")
-        )
+        fit = fit_region(d, all_rows(d), np.zeros(3, dtype=bool), "logistic")
         assert fit.fit_stat == pytest.approx(40 * LOG2, rel=1e-12)
 
     def test_separated_region_stabilized(self):
         X = np.linspace(-2, 2, 30).reshape(-1, 1)
         y = (X[:, 0] > 0).astype(float)
         d = Dataset(X, y)
-        fit = fit_logistic(d, FitRequest(all_rows(d), np.array([True, True]), "logistic"))
+        fit = fit_region(d, all_rows(d), np.array([True, True]), "logistic")
         assert fit.stabilized
         assert np.isfinite(fit.fit_stat)
         assert fit.fit_stat < 30 * LOG2
@@ -127,7 +128,7 @@ class TestLogistic:
     def test_constant_response_degenerates(self):
         rng = np.random.default_rng(4)
         d = Dataset(rng.normal(0, 1, (20, 2)), np.ones(20))
-        fit = fit_logistic(d, FitRequest(all_rows(d), full_mask(d), "logistic"))
+        fit = fit_region(d, all_rows(d), full_mask(d), "logistic")
         assert fit.mask.tolist() == [True, False, False]
         assert fit.stabilized
         assert 0 <= fit.fit_stat < 1e-3
@@ -141,7 +142,7 @@ class TestLogistic:
         t = bt[0] + Xc @ bt[1:]
         y = (rng.random(50) < expit(t)).astype(float)
         d = Dataset(Xc, y)
-        fit = fit_logistic(d, FitRequest(all_rows(d), full_mask(d), "logistic"))
+        fit = fit_region(d, all_rows(d), full_mask(d), "logistic")
         assert fit.fit_stat == pytest.approx(28.4285073146989, abs=1e-6)
         assert fit.beta == pytest.approx(
             [0.1075439844567035, 0.5416082177429485, -0.613456768848759],
@@ -153,7 +154,7 @@ class TestProbit:
     def test_null_value(self):
         rng = np.random.default_rng(5)
         d = Dataset(rng.normal(0, 1, (32, 2)), (rng.random(32) < 0.5).astype(float))
-        fit = fit_probit(d, FitRequest(all_rows(d), np.zeros(3, dtype=bool), "probit"))
+        fit = fit_region(d, all_rows(d), np.zeros(3, dtype=bool), "probit")
         assert fit.fit_stat == pytest.approx(32 * LOG2, rel=1e-12)
 
     def test_normal_cdf_at_zero(self):
@@ -166,7 +167,7 @@ class TestProbit:
         tp = bt[0] + Xp @ bt[1:]
         y = (rng.random(50) < ndtr(tp)).astype(float)
         d = Dataset(Xp, y)
-        fit = fit_probit(d, FitRequest(all_rows(d), full_mask(d), "probit"))
+        fit = fit_region(d, all_rows(d), full_mask(d), "probit")
         assert fit.fit_stat == pytest.approx(25.642897683446336, abs=1e-6)
         assert fit.beta == pytest.approx(
             [-0.22552310627223365, 0.8761956557806169, 0.6383308872285255],
@@ -200,20 +201,20 @@ def test_gradient_matches_finite_differences(link):
         assert np.linalg.norm(g - fd) / denom < 1e-5
 
 
-@pytest.mark.parametrize("link,fitter", [("logistic", fit_logistic), ("probit", fit_probit)])
-def test_fit_never_worse_than_null(link, fitter):
+@pytest.mark.parametrize("link", LINKS)
+def test_fit_never_worse_than_null(link):
     for seed in range(12):
         rng = np.random.default_rng(seed + 40)
         X = rng.normal(0, 1.5, (25, 3))
         y = (rng.random(25) < 0.4).astype(float)
         d = Dataset(X, y)
         mask = np.array([True, True, False, True])
-        fit = fitter(d, FitRequest(all_rows(d), mask, link))
+        fit = fit_region(d, all_rows(d), mask, link)
         assert fit.fit_stat <= 25 * LOG2 + 1e-9
 
 
-@pytest.mark.parametrize("link,fitter", [("logistic", fit_logistic), ("probit", fit_probit)])
-def test_classification_nesting_monotonicity(link, fitter):
+@pytest.mark.parametrize("link", LINKS)
+def test_classification_nesting_monotonicity(link):
     for seed in range(8):
         rng = np.random.default_rng(seed + 77)
         X = rng.normal(0, 1, (40, 3))
@@ -222,8 +223,8 @@ def test_classification_nesting_monotonicity(link, fitter):
         d = Dataset(X, y)
         small = np.array([True, True, False, False])
         big = np.array([True, True, True, False])
-        f_small = fitter(d, FitRequest(all_rows(d), small, link))
-        f_big = fitter(d, FitRequest(all_rows(d), big, link))
+        f_small = fit_region(d, all_rows(d), small, link)
+        f_big = fit_region(d, all_rows(d), big, link)
         assert f_big.fit_stat <= f_small.fit_stat + 1e-6
 
 

@@ -198,6 +198,27 @@ def test_predict_accepts_uncorrupted_document(saved_model, tmp_path):
     assert main(["predict", "--model", str(model_path), "--data", csv_path, "--out", out]) == 0
 
 
+OUT_OF_RANGE = {
+    "swarm_size": ["fit", "--swarm-size", "2"],
+    "max_cp_per_predictor": ["fit", "--max-cp-per-predictor", "0"],
+    "min_segment": ["fit", "--min-segment", "1"],
+    "simulate_n": ["simulate", "--setting", "reg1", "--n", "5", "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_argument_exits_2(case, reg_csv, tmp_path, capsys):
+    argv = OUT_OF_RANGE[case]
+    if argv[0] == "fit":
+        argv = argv + ["--data", reg_csv, "--response", "y", "--task", "regression",
+                       "--out", str(tmp_path / "m.json")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestCli:
     def test_fit_predict_round_trip(self, reg_csv, tmp_path, capsys):
         model_path = str(tmp_path / "model.json")

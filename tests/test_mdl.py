@@ -9,11 +9,10 @@ from partwise import (
     ChangePointConfig,
     Dataset,
     RegionFit,
+    fit_region,
     induce_partition,
-    mdl_binary,
-    mdl_regression,
+    mdl_score,
 )
-from partwise.fitting import FitRequest, fit_region
 from partwise.mdl import SIGMA2_FLOOR
 from partwise.simulate import SETTINGS, generate
 
@@ -85,7 +84,7 @@ class TestHandExample:
             RegionFit(np.ones(P + 1, dtype=bool), np.zeros(P + 1), 50.0)
             for _ in range(4)
         ]
-        got = mdl_regression(d, config, grid, fits)
+        got = mdl_score(d, grid, fits, "regression")
         assert got.predictor_code == pytest.approx(4.0, abs=1e-12)
         assert got.per_predictor_code == pytest.approx(31.74534976054121, abs=1e-9)
         assert got.region_param_code == pytest.approx(64.43856189774724, abs=1e-9)
@@ -97,7 +96,7 @@ class TestHandExample:
         config = ChangePointConfig({})
         grid = induce_partition(d, config)
         fits = [RegionFit(np.ones(4, dtype=bool), np.zeros(4), 64.0)]
-        got = mdl_regression(d, config, grid, fits)
+        got = mdl_score(d, grid, fits, "regression")
         assert got.predictor_code == 0.0
         assert got.per_predictor_code == 0.0
         assert got.region_param_code == pytest.approx(2.0 * math.log2(64))
@@ -107,10 +106,8 @@ class TestHandExample:
         d = random_dataset(9, n=50, P=2, binary=True)
         config = ChangePointConfig({})
         grid = induce_partition(d, config)
-        null = fit_region(
-            d, FitRequest(np.arange(d.n), np.zeros(3, dtype=bool), "logistic")
-        )
-        got = mdl_binary(d, config, grid, [null], "logistic")
+        null = fit_region(d, np.arange(d.n), np.zeros(3, dtype=bool), "logistic")
+        got = mdl_score(d, grid, [null], "logistic")
         assert got.residual_code == pytest.approx(50 * LOG2, rel=1e-12)
 
     def test_structural_terms_shared_between_criteria(self):
@@ -119,8 +116,8 @@ class TestHandExample:
         cfg = random_config(d, rng, max_breaks=2, max_cuts=1)
         grid = induce_partition(d, cfg)
         fits = synthetic_fits(rng, grid, d.P)
-        a = mdl_regression(d, cfg, grid, fits)
-        b = mdl_binary(d, cfg, grid, fits, "logistic")
+        a = mdl_score(d, grid, fits, "regression")
+        b = mdl_score(d, grid, fits, "logistic")
         assert a.predictor_code == b.predictor_code
         assert a.per_predictor_code == b.per_predictor_code
         assert a.region_param_code == b.region_param_code
@@ -131,7 +128,7 @@ class TestHandExample:
         cfg = random_config(d, rng)
         grid = induce_partition(d, cfg)
         fits = synthetic_fits(rng, grid, d.P)
-        got = mdl_regression(d, cfg, grid, fits)
+        got = mdl_score(d, grid, fits, "regression")
         parts = (
             got.predictor_code
             + got.per_predictor_code
@@ -152,10 +149,7 @@ class TestFormulaOracle:
             if grid.region_counts.min() < 1:
                 continue
             fits = synthetic_fits(rng, grid, d.P)
-            if task == "regression":
-                got = mdl_regression(d, cfg, grid, fits).total
-            else:
-                got = mdl_binary(d, cfg, grid, fits, "logistic").total
+            got = mdl_score(d, grid, fits, task).total
             want = reference_mdl(d.P, d.n, cfg, grid, fits, task)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -170,7 +164,7 @@ class TestFormulaOracle:
             if grid.region_counts.min() < 1:
                 continue
             fits = synthetic_fits(rng, grid, d.P)
-            totals.append(mdl_regression(d, cfg, grid, fits).total)
+            totals.append(mdl_score(d, grid, fits, "regression").total)
         scaled = [2.0 / d.n * t for t in totals]
         assert np.argmin(totals) == np.argmin(scaled)
 
@@ -182,13 +176,13 @@ class TestInvariances:
         cfg = random_config(rng=np.random.default_rng(10), data=d)
         grid = induce_partition(d, cfg)
         fits = synthetic_fits(rng, grid, d.P)
-        base = mdl_regression(d, cfg, grid, fits).total
+        base = mdl_score(d, grid, fits, "regression").total
         perm = np.random.default_rng(9).permutation(d.n)
         d2 = Dataset(d.X[perm], d.y[perm])
         grid2 = induce_partition(d2, cfg)
         # same fit stats attach to the same regions (region order is canonical)
         assert np.array_equal(np.sort(grid.region_counts), np.sort(grid2.region_counts))
-        got = mdl_regression(d2, cfg, grid2, fits).total
+        got = mdl_score(d2, grid2, fits, "regression").total
         assert got == pytest.approx(base, abs=1e-9)
 
     def test_spurious_cut_never_shrinks_structure(self):
@@ -202,7 +196,7 @@ class TestInvariances:
             grid = induce_partition(d, cfg)
             full = np.ones(d.P + 1, dtype=bool)
             fits = [RegionFit(full, np.zeros(d.P + 1), 1.0) for _ in range(grid.R)]
-            base = mdl_regression(d, cfg, grid, fits)
+            base = mdl_score(d, grid, fits, "regression")
             cuts = data_free = [
                 c
                 for c in d.cut_positions(0)
@@ -222,7 +216,7 @@ class TestInvariances:
             ):
                 continue
             fits2 = [RegionFit(full, np.zeros(d.P + 1), 1.0) for _ in range(grid2.R)]
-            new = mdl_regression(d, cfg2, grid2, fits2)
+            new = mdl_score(d, grid2, fits2, "regression")
             base_struct = base.total - base.residual_code
             new_struct = new.total - new.residual_code
             assert new_struct >= base_struct - 1e-9
@@ -234,7 +228,7 @@ class TestInvariances:
         cfg = ChangePointConfig({})
         grid = induce_partition(d, cfg)
         fits = [RegionFit(np.ones(3, dtype=bool), np.zeros(3), 0.0)]
-        got = mdl_regression(d, cfg, grid, fits)
+        got = mdl_score(d, grid, fits, "regression")
         assert got.residual_code == pytest.approx(
             0.5 * d.n * math.log(SIGMA2_FLOOR)
         )
@@ -256,14 +250,14 @@ def test_truth_beats_no_break_on_cls2_draws():
         cfg_true = setting.true_config()
         grid_true = induce_partition(d, cfg_true)
         fits_true = [
-            fit_region(d, FitRequest(m, full, "logistic"))
+            fit_region(d, m, full, "logistic")
             for m in grid_true.memberships
         ]
-        at_truth = mdl_binary(d, cfg_true, grid_true, fits_true, "logistic").total
+        at_truth = mdl_score(d, grid_true, fits_true, "logistic").total
 
         cfg0 = ChangePointConfig({})
         grid0 = induce_partition(d, cfg0)
-        fit0 = fit_region(d, FitRequest(rows, full, "logistic"))
-        at_null = mdl_binary(d, cfg0, grid0, [fit0], "logistic").total
+        fit0 = fit_region(d, rows, full, "logistic")
+        at_null = mdl_score(d, grid0, [fit0], "logistic").total
         wins += at_truth < at_null
     assert wins >= 0.95 * trials

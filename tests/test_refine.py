@@ -7,8 +7,9 @@ from partwise import (
     ChangePointConfig,
     Dataset,
     final_adjust,
+    fit_region,
     induce_partition,
-    mdl_regression,
+    mdl_score,
     select_features,
 )
 from partwise.fitting import RegionDesign
@@ -56,10 +57,11 @@ class TestSelectFeatures:
         grid = induce_partition(d, ChangePointConfig({}))
         got = select_features(d, "regression", grid)
         _, want_masks = exhaustive_selection_oracle(d, grid)
-        assert tuple(bool(b) for b in got.masks[0]) == tuple(
+        got_mask = got.fits[0].mask
+        assert tuple(bool(b) for b in got_mask) == tuple(
             bool(b) for b in want_masks[0]
         )
-        assert got.masks[0].tolist() == [False, False, True, False]
+        assert got_mask.tolist() == [False, False, True, False]
 
     def test_two_decoupled_regions_match_exhaustive(self):
         rng = np.random.default_rng(1)
@@ -73,7 +75,7 @@ class TestSelectFeatures:
         grid = induce_partition(d, ChangePointConfig({0: [1.5]}))
         got = select_features(d, "regression", grid)
         _, want_masks = exhaustive_selection_oracle(d, grid)
-        for m_got, m_want in zip(got.masks, want_masks):
+        for m_got, m_want in zip([f.mask for f in got.fits], want_masks):
             assert tuple(bool(b) for b in m_got) == tuple(bool(b) for b in m_want)
 
     def test_classification_regions_decouple(self):
@@ -88,7 +90,7 @@ class TestSelectFeatures:
         grid = induce_partition(d, ChangePointConfig({0: [1.5]}))
         got = select_features(d, "logistic", grid)
         _, want_masks = exhaustive_selection_oracle(d, grid, task="logistic")
-        for m_got, m_want in zip(got.masks, want_masks):
+        for m_got, m_want in zip([f.mask for f in got.fits], want_masks):
             assert tuple(bool(b) for b in m_got) == tuple(bool(b) for b in m_want)
 
     def test_never_worse_than_full_mask(self):
@@ -100,14 +102,12 @@ class TestSelectFeatures:
             if grid.region_counts.min() < d.P + 2:
                 continue
             sel = select_features(d, "regression", grid)
-            from partwise.fitting import FitRequest, fit_ols
-
             full = np.ones(d.P + 1, dtype=bool)
             fits = [
-                fit_ols(d, FitRequest(rows, full, "regression"))
+                fit_region(d, rows, full, "regression")
                 for rows in grid.memberships
             ]
-            full_total = mdl_regression(d, cfg, grid, fits).total
+            full_total = mdl_score(d, grid, fits, "regression").total
             assert sel.total <= full_total + 1e-9
 
     def test_deterministic(self):
@@ -116,7 +116,7 @@ class TestSelectFeatures:
         a = select_features(d, "regression", grid)
         b = select_features(d, "regression", grid)
         assert a.total == b.total
-        for ma, mb in zip(a.masks, b.masks):
+        for ma, mb in zip([f.mask for f in a.fits], [f.mask for f in b.fits]):
             assert np.array_equal(ma, mb)
 
 

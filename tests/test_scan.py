@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from partwise import Dataset, scan_candidates
+from partwise import Dataset, InputError, scan_candidates
 from partwise.mdl import SIGMA2_FLOOR
 from partwise.scan import _BinarySegments, _RegressionSegments, default_min_segment
 from partwise.simulate import SETTINGS, generate
@@ -42,7 +42,7 @@ class TestStopRules:
     def test_min_segment_validated(self):
         rng = np.random.default_rng(4)
         d = Dataset(rng.uniform(0, 1, (50, 3)), rng.normal(0, 1, 50))
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             scan_candidates(d, "regression", min_segment=2)
 
 

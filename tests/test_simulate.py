@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from partwise import ChangePointConfig, FittedModel, RegionFit
+from partwise import ChangePointConfig, FittedModel, InputError, RegionFit
 from partwise.mdl import MdlBreakdown
 from partwise.simulate import (
     SETTINGS,
@@ -57,7 +57,7 @@ class TestGenerate:
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
     def test_minimum_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             generate(SETTINGS["reg1"], 10, np.random.default_rng(0))
 
 

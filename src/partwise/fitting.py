@@ -101,17 +101,21 @@ def logistic_grad_hess(D, y, t):
     return g, H
 
 
-def _inverse_mills(t: np.ndarray) -> np.ndarray:
-    """phi(t) / Phi(t), computed in log space for tail stability."""
-    return np.exp(-0.5 * t * t - _HALF_LOG_2PI - log_ndtr(t))
+def probit_grad_hess(D, y, t, sign=None, log_cdf=None):
+    """Gradient and Hessian of the probit NLL at linear predictor ``t``.
 
-
-def probit_grad_hess(D, y, t):
+    ``sign`` (``2y - 1``) and ``log_cdf`` (``log_ndtr(sign * t)``) may be
+    passed in by a caller that already holds them.
+    """
     # With u = sign*t and m = phi(u)/Phi(u): d(nll)/dt = -sign*m and
-    # d2(nll)/dt2 = m*(m + u), covering both response values at once.
-    sign = 2.0 * y - 1.0
+    # d2(nll)/dt2 = m*(m + u), covering both response values at once.  m is
+    # computed in log space for tail stability.
+    if sign is None:
+        sign = 2.0 * y - 1.0
     u = sign * t
-    m = _inverse_mills(u)
+    if log_cdf is None:
+        log_cdf = log_ndtr(u)
+    m = np.exp(-0.5 * u * u - _HALF_LOG_2PI - log_cdf)
     g = D.T @ (-sign * m)
     w = m * (m + u)
     H = (D * w[:, None]).T @ D
@@ -136,36 +140,50 @@ def _newton_glm(D, y, task, beta0=None):
 
     Returns ``(beta, nll, converged, stabilized)``.  A ridge penalty
     ``RIDGE * ||beta||^2`` is added once the Hessian conditioning exceeds
-    COND_LIMIT; the reported nll never includes the penalty.
+    COND_LIMIT; the reported nll never includes the penalty.  Halving a
+    rejected step stops once the trial point rounds back to ``beta``: every
+    shorter step rounds there too, so no later trial could be accepted.
     """
     s = D.shape[1]
     if s == 0:
         return np.empty(0), classification_nll(task, np.zeros(y.size), y), True, False
-    grad_hess = logistic_grad_hess if task == TASK_LOGISTIC else probit_grad_hess
+    sign = 2.0 * y - 1.0
+    if task == TASK_LOGISTIC:
+        neg_sign = -sign
+
+        def nll_at(t):
+            return float(np.logaddexp(0.0, neg_sign * t).sum()), None
+
+        def grad_hess(t, _log_cdf):
+            return logistic_grad_hess(D, y, t)
+
+    else:
+
+        def nll_at(t):
+            log_cdf = log_ndtr(sign * t)
+            return -float(log_cdf.sum()), log_cdf
+
+        def grad_hess(t, log_cdf):
+            return probit_grad_hess(D, y, t, sign, log_cdf)
+
     beta = np.zeros(s) if beta0 is None else np.array(beta0, dtype=np.float64)
     penalized = False
-
-    def objective(b, t):
-        val = classification_nll(task, t, y)
-        if penalized:
-            val += RIDGE * float(b @ b)
-        return val
-
     t = D @ beta
-    f = objective(beta, t)
+    nll, log_cdf = nll_at(t)
+    f = nll
     converged = False
     hessian_scale = 0.0
     for it in range(MAX_NEWTON_ITER):
-        g, H = grad_hess(D, y, t)
+        g, H = grad_hess(t, log_cdf)
         if it == 0:
-            hessian_scale = float(np.sqrt(np.diag(H).max())) if s else 0.0
+            hessian_scale = float(np.sqrt(np.diag(H).max()))
         if penalized:
             g = g + 2.0 * RIDGE * beta
             H = H + 2.0 * RIDGE * np.eye(s)
         L, cond = _cholesky(H, hessian_scale)
         if not penalized and cond > COND_LIMIT:
             penalized = True
-            f = objective(beta, t)
+            f = nll + RIDGE * float(beta @ beta)
             g = g + 2.0 * RIDGE * beta
             H = H + 2.0 * RIDGE * np.eye(s)
             L, cond = _cholesky(H, hessian_scale)
@@ -177,20 +195,25 @@ def _newton_glm(D, y, task, beta0=None):
         for _ in range(40):
             beta_new = beta - scale * step
             t_new = D @ beta_new
-            f_new = objective(beta_new, t_new)
+            nll_new, log_cdf_new = nll_at(t_new)
+            f_new = nll_new
+            if penalized:
+                f_new += RIDGE * float(beta_new @ beta_new)
             if f_new < f:
                 accepted = True
+                break
+            if (beta_new == beta).all():
                 break
             scale *= 0.5
         if not accepted:
             converged = True
             break
         delta = f - f_new
-        beta, t, f = beta_new, t_new, f_new
+        beta, t, f, nll, log_cdf = beta_new, t_new, f_new, nll_new, log_cdf_new
         if delta < NEWTON_TOL:
             converged = True
             break
-    return beta, classification_nll(task, t, y), converged, penalized or not converged
+    return beta, nll, converged, penalized or not converged
 
 
 def single_class_fit(task: str, y: np.ndarray) -> tuple[float, float]:

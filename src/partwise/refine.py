@@ -2,8 +2,12 @@
 
 ``select_features`` cycles region by region, replacing one region's variable
 mask with the total-MDL minimizer while all others are held fixed, until a
-full cycle changes nothing.  ``final_adjust`` enumerates change-point subsets
-and small threshold shifts around a search solution and returns the best.
+full cycle changes nothing.  Each region's menu of mask fits is exhaustive
+for regression.  For logistic and probit regions it is a bounded walk from
+the full mask down that skips every mask whose supersets' likelihoods
+already rule it out; the chosen masks are those of full enumeration.
+``final_adjust`` enumerates change-point subsets and small threshold shifts
+around a search solution and returns the best.
 
 ``ConfigScorer`` wraps partition induction + feature selection + MDL into a
 single memoized evaluation, keyed by cut positions, so search loops never
@@ -34,6 +38,9 @@ from .model import (
 EXHAUSTIVE_MASK_LIMIT = 15  # exhaustive 2^(P+1) enumeration up to this many columns
 MAX_CYCLES = 60
 SUBSET_CAP = 12  # beyond this many change points, only single-drop subsets
+# Slack in the bounded walk for the convergence error of an unpenalized
+# Newton fit, by which a subset's NLL may read below its superset's.
+BOUND_MARGIN = 1e-6
 
 
 def _mask_table(n_params: int):
@@ -51,6 +58,7 @@ def _mask_table(n_params: int):
 
 
 _MASK_TABLES: dict[int, list] = {}
+_WALKS: dict[int, list] = {}
 
 
 def _masks_for(n_params: int):
@@ -59,6 +67,20 @@ def _masks_for(n_params: int):
         table = _mask_table(n_params)
         _MASK_TABLES[n_params] = table
     return table
+
+
+def _walk_for(n_params: int):
+    """Mask-table entries from the full mask down, by popcount and then by
+    mask integer, each paired with its immediate supersets' mask integers."""
+    walk = _WALKS.get(n_params)
+    if walk is None:
+        walk = []
+        for entry in sorted(_masks_for(n_params), key=lambda e: (-e[2], e[0])):
+            m = entry[0]
+            supersets = [m | (1 << i) for i in range(n_params) if not (m >> i) & 1]
+            walk.append((entry, supersets))
+        _WALKS[n_params] = walk
+    return walk
 
 
 def _stepwise_candidates(current: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -83,21 +105,52 @@ class SelectionResult:
         return self.breakdown.total
 
 
+def _bounded_menu(design: RegionDesign, n_params: int) -> list:
+    """Fits of one logistic or probit region for every mask that can win.
+
+    A region's value ``s * log2(n_r) / 2 + NLL`` does not depend on the other
+    regions, and a mask's NLL is at least that of any of its supersets.  So
+    the walk goes from the full mask down, and gives each mask a lower bound:
+    the largest NLL among its immediate supersets.  A superset that was
+    skipped, or whose fit is stabilized (penalized or not converged), passes
+    on its own bound instead.  A mask whose value with that bound exceeds
+    the best value so far by more than BOUND_MARGIN is never fitted.  Every
+    skipped mask is strictly worse than the best, so ``pick`` chooses as it
+    would from the full menu, ties included.
+    """
+    half_log2n = 0.5 * math.log2(design.n_r)
+    passed = [0.0] * (1 << n_params)  # lower bound each mask hands its subsets
+    best = math.inf
+    menu = []
+    for (mask_int, cols, s, bools, ix), supersets in _walk_for(n_params):
+        bound = max((passed[m] for m in supersets), default=-math.inf)
+        if s * half_log2n + bound > best + BOUND_MARGIN:
+            passed[mask_int] = bound
+            continue
+        beta, stat, stab = design.fit_mask(mask_int, cols, ix)
+        passed[mask_int] = bound if stab else stat
+        best = min(best, s * half_log2n + stat)
+        menu.append((s, bools, mask_int, stat, beta, stab))
+    return menu
+
+
 def _region_menu(design: RegionDesign, n_params: int, exhaustive: bool):
     """Feasible (value-relevant) fits of one region for every candidate mask.
 
     Returns a list of ``(s, lex, mask_int, fit_stat, beta, stabilized)``
-    sorted by (s, lex), which is exactly the tie-break order.
+    sorted by (s, lex), which is exactly the tie-break order.  Logistic and
+    probit regions leave out masks that cannot win (``_bounded_menu``).
     """
     menu = []
-    if exhaustive:
+    if exhaustive and design.task != TASK_REGRESSION:
+        menu = _bounded_menu(design, n_params)
+    elif exhaustive:
         for mask_int, cols, s, bools, ix in _masks_for(n_params):
             res = design.fit_mask(mask_int, cols, ix)
             if res is None:
                 continue
             beta, stat, stab = res
             menu.append((s, bools, mask_int, stat, beta, stab))
-        menu.sort(key=lambda e: (e[0], e[1]))
     else:
         # Greedy bidirectional stepwise on fit_stat alone would ignore the
         # (s/2) log2 n_r cost, so step on the per-region MDL contribution.
@@ -136,7 +189,7 @@ def _region_menu(design: RegionDesign, n_params: int, exhaustive: bool):
             if best is None:
                 break
             _, current, entry = best
-        menu.sort(key=lambda e: (e[0], e[1]))
+    menu.sort(key=lambda e: (e[0], e[1]))
     return menu
 
 
@@ -150,9 +203,11 @@ def select_features(
 
     Every region starts from the full mask; regions are visited in index
     order and each takes the mask minimizing the total criterion with the
-    other regions fixed.  The per-region search is exhaustive over all
-    ``2^(P+1)`` masks when P+1 <= 15 and greedy bidirectional stepwise
-    beyond that.  Stops after the first cycle with no change.
+    other regions fixed.  When P+1 <= 15 the per-region search covers all
+    ``2^(P+1)`` masks: regression fits every one, and logistic and probit
+    skip the masks a likelihood bound rules out (``_bounded_menu``), with
+    the same result.  Beyond that it is greedy bidirectional stepwise.
+    Stops after the first cycle with no change.
 
     ``region_cache`` (keyed by region membership) lets callers reuse the
     per-mask fit menus across configurations that share regions.

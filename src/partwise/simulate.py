@@ -256,14 +256,20 @@ def run_trials(
     fit_params: FitParams | None = None,
     threads: int = 1,
 ) -> list[TrialResult]:
-    """Repeat :func:`run_trial`; order-independent and seed-reproducible."""
+    """Repeat :func:`run_trial`; order-independent and seed-reproducible.
+
+    At most ``min(threads, trials)`` worker processes are started.
+    """
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
     args = [
         (setting_name, n, seed, i, sigma, link, fit_params)
         for i in range(trials)
     ]
-    if threads <= 1:
+    workers = min(threads, trials)
+    if workers <= 1:
         return [run_trial(*a) for a in args]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_trial_star, args))
 
 

@@ -203,6 +203,8 @@ OUT_OF_RANGE = {
     "max_cp_per_predictor": ["fit", "--max-cp-per-predictor", "0"],
     "min_segment": ["fit", "--min-segment", "1"],
     "simulate_n": ["simulate", "--setting", "reg1", "--n", "5", "--trials", "1"],
+    "simulate_trials_0": ["simulate", "--setting", "reg1", "--trials", "0"],
+    "simulate_trials_negative": ["simulate", "--setting", "reg1", "--trials", "-2"],
 }
 
 

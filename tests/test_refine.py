@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from partwise import (
     ChangePointConfig,
@@ -12,9 +13,16 @@ from partwise import (
     mdl_score,
     select_features,
 )
-from partwise.fitting import RegionDesign
+from partwise.fitting import RegionDesign, single_class_fit
 from partwise.mdl import SIGMA2_FLOOR
-from partwise.refine import ConfigScorer, _key_from_pairs, _masks_for
+from partwise.model import RegionFit
+from partwise.refine import (
+    BOUND_MARGIN,
+    ConfigScorer,
+    _key_from_pairs,
+    _masks_for,
+    _region_menu,
+)
 
 from conftest import random_config, random_dataset
 
@@ -177,3 +185,176 @@ class TestFinalAdjust:
         out = final_adjust(d, "regression", cfg, shift_radius=2, scorer=scorer)
         assert out.total <= before
         assert out.key == ((0, (49,)),)
+
+
+# -- the bounded mask walk of logistic and probit regions ---------------------
+
+
+def unbounded_selection(data, grid, task):
+    """Every mask of every region fitted; each region takes the first mask in
+    (popcount, lex) order with the least ``s * log2(n_r) / 2 + NLL``, which
+    is what coordinate descent settles on when regions do not interact."""
+    n_params = data.P + 1
+    fits = []
+    for rows in grid.memberships:
+        design = RegionDesign(data, rows, task)
+        if design.single_class:
+            b0, nll = single_class_fit(task, design.y)
+            intercept = np.zeros(n_params, dtype=bool)
+            intercept[0] = True
+            fits.append(RegionFit(intercept, np.array([b0]), nll, stabilized=True))
+            continue
+        half_log2n = 0.5 * math.log2(rows.size)
+        best, best_val = None, np.inf
+        for mask_int, cols, s, bools, ix in sorted(
+            _masks_for(n_params), key=lambda e: (e[2], e[3])
+        ):
+            beta, stat, stab = design.fit_mask(mask_int, cols, ix)
+            if s * half_log2n + stat < best_val:
+                best_val = s * half_log2n + stat
+                mask = np.array(bools, dtype=bool)
+                best = RegionFit(mask, beta, stat, stabilized=stab)
+        fits.append(best)
+    return fits, mdl_score(data, grid, fits, task).total
+
+
+def _special_regions_dataset(seed, n=120):
+    """Three regions on x1: a single-class one, one separated by x2, and one
+    with a noisy dependence on x2 and x3."""
+    rng = np.random.default_rng(seed)
+    x1 = np.concatenate([rng.uniform(0, 1, n // 3), rng.uniform(2, 3, n // 3),
+                         rng.uniform(4, 5, n - 2 * (n // 3))])
+    x2 = rng.uniform(-2, 2, n)
+    x3 = rng.uniform(-2, 2, n)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(1.5 * x2 - x3)))).astype(float)
+    y[x1 <= 1.5] = 1.0
+    sep = (x1 > 1.5) & (x1 <= 3.5)
+    y[sep] = (x2[sep] > 0.2).astype(float)
+    d = Dataset(np.column_stack([x1, x2, x3]), y)
+    return d, induce_partition(d, ChangePointConfig({0: [1.5, 3.5]}))
+
+
+def _bounded_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for task in ("logistic", "probit"):
+        for seed in range(2):
+            cases.append((task,) + _special_regions_dataset(seed))
+        seed = 200
+        while sum(c[0] == task for c in cases) < 17:
+            seed += 1
+            d = random_dataset(seed, n=int(rng.choice([40, 90, 160])), P=3, binary=True)
+            grid = induce_partition(d, random_config(d, rng, max_breaks=2, max_cuts=1))
+            if grid.region_counts.min() >= 8:
+                cases.append((task, d, grid))
+    return cases
+
+
+class TestBoundedMenu:
+    def test_matches_unbounded_enumeration_bitwise(self):
+        kinds = {"single_class": 0, "stabilized": 0}
+        cases = _bounded_cases()
+        assert len(cases) >= 30
+        for task, d, grid in cases:
+            got = select_features(d, task, grid)
+            want_fits, want_total = unbounded_selection(d, grid, task)
+            assert got.total == want_total
+            for g, w in zip(got.fits, want_fits):
+                assert g.mask.tolist() == w.mask.tolist()
+                assert g.beta.tobytes() == w.beta.tobytes()
+                assert np.float64(g.fit_stat).tobytes() == np.float64(
+                    w.fit_stat
+                ).tobytes()
+                assert g.stabilized == w.stabilized
+            designs = [RegionDesign(d, rows, task) for rows in grid.memberships]
+            kinds["single_class"] += sum(x.single_class for x in designs)
+            kinds["stabilized"] += sum(
+                f.stabilized and not x.single_class for f, x in zip(got.fits, designs)
+            )
+            if grid.R <= 3:
+                # A single-class region scores every mask alike, so the
+                # oracle's cross product prefers the empty mask there.
+                _, want_masks = exhaustive_selection_oracle(d, grid, task=task)
+                for f, m, x in zip(got.fits, want_masks, designs):
+                    if not x.single_class:
+                        assert tuple(f.mask.tolist()) == tuple(bool(b) for b in m)
+        assert kinds["single_class"] >= 4
+        assert kinds["stabilized"] >= 4
+
+    @pytest.mark.parametrize("task", ["logistic", "probit"])
+    def test_strong_predictor_prunes_masks(self, task):
+        rng = np.random.default_rng(5)
+        n = 300
+        X = rng.uniform(-2, 2, (n, 3))
+        t = 0.2 + 2.5 * X[:, 0]
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-t))).astype(float)
+        d = Dataset(X, y)
+        design = RegionDesign(d, np.arange(n), task)
+        menu = _region_menu(design, d.P + 1, exhaustive=True)
+        fitted = len(design._cache)
+        assert len(menu) == fitted < 2 ** (d.P + 1)
+        best = min(menu, key=lambda e: e[0] * 0.5 * math.log2(n) + e[3])
+        assert best[1][1] == 1  # the strong predictor is kept
+
+    def test_regression_menu_stays_full(self):
+        d = random_dataset(3, n=80, P=3)
+        design = RegionDesign(d, np.arange(d.n), "regression")
+        menu = _region_menu(design, d.P + 1, exhaustive=True)
+        assert len(menu) == 2 ** (d.P + 1)
+
+
+class _StubDesign:
+    """A region whose fit of mask ``m`` has NLL ``stats[m]``, stabilized
+    when ``m`` is in ``stabilized``.
+
+    ``n_r = 4`` makes each selected column cost exactly one bit."""
+
+    task = "logistic"
+    n_r = 4
+
+    def __init__(self, stats, stabilized):
+        self.stats = stats
+        self.stabilized = stabilized
+        self.fitted = []
+
+    def fit_mask(self, mask_int, cols, ix):
+        self.fitted.append(mask_int)
+        return np.zeros(len(cols)), self.stats[mask_int], mask_int in self.stabilized
+
+
+def _walk(stats, stabilized=()):
+    """Masks fitted by the walk over (intercept, x1), and the winner."""
+    design = _StubDesign(stats, stabilized)
+    menu = _region_menu(design, 2, exhaustive=True)
+    chosen = min(menu, key=lambda e: (e[0] + e[3], e[0], e[1]))
+    return sorted(design.fitted), chosen[2]
+
+
+class TestBoundRule:
+    """Masks over (intercept, x1) as integers: 3 = both, 1 = intercept only,
+    2 = x1 only, 0 = empty.  ``stats`` lists the NLLs of masks 0, 1, 2, 3,
+    and a mask's value is its popcount plus its NLL."""
+
+    def test_skips_a_mask_its_supersets_rule_out(self):
+        # The empty mask's bound is 5.0 from mask 2, far above mask 1's 3.0.
+        assert _walk([8.0, 2.0, 5.0, 1.5]) == ([1, 2, 3], 1)
+
+    def test_stabilized_fit_passes_no_bound(self):
+        # A stabilized full fit may read above its subsets' NLLs; trusting
+        # it as a bound would skip masks 1 and 2 and choose the empty mask.
+        assert _walk([8.0, 2.0, 5.0, 10.0], stabilized={3}) == ([1, 2, 3], 1)
+
+    def test_skipped_mask_passes_its_own_bound(self):
+        # Mask 2 is skipped on the full mask's bound 4.0, and hands 4.0 on:
+        # the empty mask (bound max(1.0, 4.0)) is skipped too.
+        assert _walk([9.0, 1.0, 9.0, 4.0]) == ([1, 3], 1)
+
+    def test_margin_covers_convergence_error(self):
+        # The empty mask's NLL reads 6e-7 below its bound from mask 1, inside
+        # BOUND_MARGIN, and that makes it the best mask.
+        assert _walk([1.4999999, 1.5000005, 0.5, 0.25]) == ([0, 1, 2, 3], 0)
+
+    def test_mask_at_exactly_the_margin_is_fitted(self):
+        edge = 1.0 + BOUND_MARGIN
+        assert 0.0 + edge == 1.0 + BOUND_MARGIN
+        assert _walk([edge, edge, 0.0, 0.0]) == ([0, 1, 2, 3], 2)

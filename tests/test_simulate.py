@@ -186,3 +186,55 @@ def test_worker_pool_does_not_change_results():
         assert a.correct_BL == b.correct_BL
         assert a.cp_errors == b.cp_errors
         assert a.region_masks_correct == b.region_masks_correct
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_trial_count_below_one_rejected(trials):
+    from partwise.simulate import run_trials
+
+    with pytest.raises(InputError, match="trials"):
+        run_trials("reg1", 120, trials)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    nothing, returning each argument tuple in place of a result."""
+
+    requested: list = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return list(args)
+
+
+@pytest.mark.parametrize(
+    "threads, trials, workers", [(8, 2, 2), (3, 5, 3), (64, 3, 3)]
+)
+def test_worker_pool_capped_at_trial_count(monkeypatch, threads, trials, workers):
+    import partwise.simulate as simulate
+
+    monkeypatch.setattr(_RecordingPool, "requested", [])
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
+    out = simulate.run_trials("reg1", 120, trials, threads=threads)
+    assert _RecordingPool.requested == [workers]
+    assert [a[3] for a in out] == list(range(trials))
+
+
+def test_one_trial_runs_without_a_pool(monkeypatch):
+    import partwise.simulate as simulate
+
+    monkeypatch.setattr(_RecordingPool, "requested", [])
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(simulate, "run_trial", lambda *a: a)
+    assert simulate.run_trials("reg1", 120, 1, threads=4) == [
+        ("reg1", 120, 1, 0, None, None, None)
+    ]
+    assert _RecordingPool.requested == []

@@ -1,7 +1,11 @@
 """Binary particle swarm search over break-candidate matrices.
 
-Particles are P-by-n bit matrices: bit ``(j, k)`` set means the midpoint
-above the k-th order statistic of predictor ``j`` is a threshold.  Velocity
+Particles are P-by-n bit matrices: bit ``(j, k)`` set means a cut at
+position ``k`` of predictor ``j``, between its k-th and (k+1)-th order
+statistics.  The search works on cut positions only: a particle's key lists
+its set bits, and ``ConfigScorer`` scores keys and decides their
+feasibility; threshold values (``min <= t < max``) are built only for the
+configuration a key describes.  Velocity
 updates squash through a sigmoid of an absolute value, so velocities live in
 ``[0.5, 1)``; position updates copy bits from the particle itself, its pbest,
 or the global best depending on which velocity band is hit.  Elitist
@@ -18,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import ChangePointConfig, Dataset, InputError, region_counts_for
+from .model import ChangePointConfig, Dataset, InputError
 from .refine import ConfigScorer, ScoredConfig
 
 SHIFT_SPAN = 3  # random bit adjustments are drawn from {-3, ..., +3}
@@ -36,7 +40,6 @@ class BpsoParams:
     max_iter: int = 200
     stall_iters: int = 5
     tol: float = 1e-12
-    min_obs: int | None = None  # defaults to P when None
 
 
 @dataclass
@@ -123,22 +126,14 @@ def _key_of_bits(bits: np.ndarray) -> tuple:
     return tuple(out)
 
 
-def _breaks_of_bits(data: Dataset, bits: np.ndarray):
-    return [
-        (j, tuple(data.midpoint(j, int(p)) for p in np.flatnonzero(bits[j])))
-        for j in range(bits.shape[0])
-        if bits[j].any()
-    ]
-
-
 def _repair(
-    bits: np.ndarray, data: Dataset, min_obs: int, rng: np.random.Generator
-) -> None:
-    """Drop random set bits until every induced region holds >= min_obs."""
+    bits: np.ndarray, scorer: ConfigScorer, rng: np.random.Generator
+) -> tuple:
+    """Drop random set bits until the key is feasible; return that key."""
     while True:
-        counts = region_counts_for(data, _breaks_of_bits(data, bits))
-        if int(counts.min()) >= min_obs:
-            return
+        key = _key_of_bits(bits)
+        if scorer.feasible(key):
+            return key
         set_pos = np.argwhere(bits)
         drop = set_pos[int(rng.integers(set_pos.shape[0]))]
         bits[drop[0], drop[1]] = False
@@ -150,11 +145,8 @@ def _set_snapped(bits: np.ndarray, data: Dataset, j: int, pos: int) -> None:
         bits[j, snapped] = True
 
 
-def _make_particle(
-    bits: np.ndarray, data: Dataset, min_obs: int, rng, scorer: ConfigScorer
-) -> Particle:
-    _repair(bits, data, min_obs, rng)
-    key = _key_of_bits(bits)
+def _make_particle(bits: np.ndarray, rng, scorer: ConfigScorer) -> Particle:
+    key = _repair(bits, scorer, rng)
     score = scorer.score_key(key).total
     return Particle(bits=bits, key=key, score=score)
 
@@ -176,13 +168,9 @@ def init_swarm(
     """
     pairs = _candidate_pairs(data, candidates)
     P, n = data.P, data.n
-    min_obs = data.P if params.min_obs is None else params.min_obs
     if not pairs:
         bits = np.zeros((P, n), dtype=bool)
-        particle = _make_particle(
-            bits, data, min_obs, _rng(seed, 0, 0, 0), scorer
-        )
-        particles = [particle]
+        particles = [_make_particle(bits, _rng(seed, 0, 0, 0), scorer)]
     else:
         N = params.swarm_size
         if N < 3:
@@ -206,7 +194,7 @@ def init_swarm(
                 for (j, pos), k, off in zip(pairs, keep, offsets):
                     if k:
                         _set_snapped(bits, data, j, pos + int(off))
-            particles.append(_make_particle(bits, data, min_obs, rng, scorer))
+            particles.append(_make_particle(bits, rng, scorer))
     velocities = np.zeros((len(particles), P, n))
     pbest = [Particle(p.bits.copy(), p.key, p.score) for p in particles]
     g = min(range(len(pbest)), key=lambda i: (pbest[i].score, i))
@@ -278,14 +266,13 @@ def mutate(
     """
     N = swarm.size
     k = math.ceil(N / 10)
-    min_obs = data.P if params.min_obs is None else params.min_obs
     order = sorted(range(N), key=lambda i: (swarm.particles[i].score, i))
     best_idx = order[:k]
     worst_idx = order[::-1][:k]
     for rank, src in enumerate(best_idx):
         rng = _rng(seed, 2, iteration, rank)
         bits = _mutate_bits(swarm.particles[src].bits, data, pairs, rng)
-        mutant = _make_particle(bits, data, min_obs, rng, scorer)
+        mutant = _make_particle(bits, rng, scorer)
         slot = worst_idx[rank]
         swarm.particles[slot] = mutant
         if mutant.score < swarm.pbest[slot].score:
@@ -301,7 +288,6 @@ def _advance(
     scorer: ConfigScorer,
 ) -> None:
     """Velocity + position updates and rescoring for one iteration."""
-    min_obs = data.P if params.min_obs is None else params.min_obs
     gb = swarm.gbest.bits.astype(np.float64)
     for i, particle in enumerate(swarm.particles):
         pbest = swarm.pbest[i]
@@ -322,7 +308,7 @@ def _advance(
         bits = update_particle_bit(
             particle.bits, pbest.bits, swarm.gbest.bits, v, params.a
         )
-        moved = _make_particle(bits, data, min_obs, rng, scorer)
+        moved = _make_particle(bits, rng, scorer)
         swarm.particles[i] = moved
         if moved.score < pbest.score:
             swarm.pbest[i] = Particle(moved.bits.copy(), moved.key, moved.score)
@@ -354,7 +340,7 @@ def run_bpso(
     if params is None:
         params = BpsoParams()
     if scorer is None:
-        scorer = ConfigScorer(data, task, min_obs=params.min_obs)
+        scorer = ConfigScorer(data, task)
     pairs = _candidate_pairs(data, candidates)
     swarm = init_swarm(data, candidates, params, seed, scorer)
     converged = False

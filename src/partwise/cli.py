@@ -1,7 +1,7 @@
 """Command-line interface: ``partwise fit | predict | simulate``.
 
-Exit codes: 0 success, 2 input/validation error, 3 search non-convergence
-(the model file is still written).
+Exit codes: 0 success, 2 input/validation error or a file that cannot be
+read or written, 3 search non-convergence (the model file is still written).
 
 Model documents are JSON with version tag ``partwise-v1`` and fields
 ``task``, ``n_obs``, ``response``, ``columns``, ``thresholds`` (column name
@@ -29,7 +29,7 @@ from .io import (
     save_model,
     split_response,
 )
-from .model import CLASSIFICATION_TASKS, PartwiseError, TASKS
+from .model import CLASSIFICATION_TASKS, InputError, PartwiseError, TASKS
 from .simulate import (
     SETTINGS,
     run_trials,
@@ -44,7 +44,9 @@ EXIT_NO_CONVERGENCE = 3
 
 def _threads(value: int | None) -> int:
     if value is not None:
-        return max(1, value)
+        if value < 1:
+            raise InputError(f"--threads must be at least 1, got {value}")
+        return value
     env = os.environ.get("PARTWISE_THREADS")
     if env:
         try:
@@ -218,7 +220,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return _cmd_predict(args)
         return _cmd_simulate(args)
-    except PartwiseError as exc:
+    except (PartwiseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -81,7 +81,7 @@ def fit_model(
         min_segment,
         require_improvement=False,
     )
-    scorer = ConfigScorer(data, task, min_obs=params.swarm.min_obs)
+    scorer = ConfigScorer(data, task)
     result = run_bpso(
         data, task, candidates, params.swarm, seed=params.seed, scorer=scorer
     )

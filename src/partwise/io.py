@@ -32,8 +32,11 @@ def load_table(path: str, delim: str = ",") -> tuple[list[str], np.ndarray]:
     """Read a delimited text file with a header row into floats.
 
     Non-numeric or non-finite cells raise InputError naming the file row
-    (the header is row 1) and the column.
+    (the header is row 1) and the column; so does a delimiter that is not
+    one character.
     """
+    if len(delim) != 1:
+        raise InputError(f"delimiter must be one character, got {delim!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delim)
         try:

@@ -3,10 +3,16 @@
 Everything in this module is structural: values in, values out, no fitting
 and no search.  All containers are immutable after construction and safe to
 share across threads.
+
+A partition is computed from cut positions: ``partition_of_key`` compares
+``Dataset.rank`` with them.  Threshold values (``min <= t < max`` on their
+predictor) enter through ``induce_partition``, which maps them to cut
+positions, and through ``assign_regions``, which places new rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -69,6 +75,10 @@ class Dataset:
     split points of predictor ``j`` are the midpoints between consecutive
     distinct sorted values; they are indexed by "cut positions": a cut at
     position ``k`` separates sorted values ``v[k]`` and ``v[k+1]``.
+
+    ``rank[j, i]`` is the sorted position of the last value equal to
+    ``X[i, j]``, so the cut at position ``k`` puts row ``i`` in the lower
+    segment iff ``rank[j, i] <= k``.
     """
 
     def __init__(self, X, y, column_names: Sequence[str] | None = None):
@@ -102,6 +112,14 @@ class Dataset:
         self.column_names = column_names
         self.order = _readonly(np.argsort(X, axis=0, kind="stable").T)
         self.sorted_values = _readonly(np.sort(X, axis=0).T)
+        self.rank = _readonly(
+            np.stack(
+                [
+                    np.searchsorted(sv, X[:, j], side="right") - 1
+                    for j, sv in enumerate(self.sorted_values)
+                ]
+            )
+        )
         # Admissible cut positions: k such that sorted v[k] < v[k+1].
         self._cuts = tuple(
             _readonly(np.flatnonzero(sv[1:] > sv[:-1]).astype(np.int64))
@@ -126,9 +144,11 @@ class Dataset:
         return self._cuts[j]
 
     def midpoint(self, j: int, pos: int) -> float:
-        """Threshold value for the cut at position ``pos``."""
+        """Threshold for the cut at ``pos``: the mean of ``v[pos]`` and
+        ``v[pos+1]``, or ``v[pos]`` if that mean rounds up to ``v[pos+1]``."""
         sv = self.sorted_values[j]
-        return float(0.5 * (sv[pos] + sv[pos + 1]))
+        mid = 0.5 * (sv[pos] + sv[pos + 1])
+        return float(sv[pos] if mid == sv[pos + 1] else mid)
 
     def snap_cut(self, j: int, pos: int) -> int | None:
         """Map an arbitrary order-statistic position to an admissible cut.
@@ -147,12 +167,13 @@ class Dataset:
         return int(cuts[k])
 
     def cut_of_threshold(self, j: int, t: float) -> int:
-        """Cut position equivalent to threshold ``t`` on predictor ``j``."""
+        """Cut position of threshold ``t``, which must satisfy ``min <= t < max``."""
         sv = self.sorted_values[j]
         c = int(np.searchsorted(sv, t, side="right"))
         if c == 0 or c == self.n:
             raise InvalidConfigError(
-                f"threshold {t} outside the open range of predictor {j}"
+                f"threshold {t} outside the range [{sv[0]}, {sv[-1]}) "
+                f"of predictor {j}"
             )
         return c - 1
 
@@ -227,33 +248,19 @@ class ChangePointConfig:
 EMPTY_CONFIG = ChangePointConfig({})
 
 
-def _validate_thresholds(data: Dataset, config: ChangePointConfig) -> None:
-    for j, ts in config.breaks:
-        if not 0 <= j < data.P:
-            raise InvalidConfigError(f"no predictor with index {j}")
-        lo = data.sorted_values[j][0]
-        hi = data.sorted_values[j][-1]
-        for t in ts:
-            if not lo < t < hi:
-                raise InvalidConfigError(
-                    f"threshold {t} outside the open range ({lo}, {hi}) "
-                    f"of predictor {j}"
-                )
+def _region_index(breaks, columns: np.ndarray) -> np.ndarray:
+    """Region index of each row under the half-open convention.
 
-
-def _region_index(
-    breaks: Sequence[tuple[int, Sequence[float]]], X: np.ndarray
-) -> np.ndarray:
-    """Region index of each row of ``X`` under the half-open convention.
-
-    A value equal to a threshold belongs to the lower segment.  Regions are
+    ``breaks`` is a sequence of ``(predictor, ascending breaks)`` pairs and
+    ``columns[j]`` holds predictor ``j``'s entry for every row: either cut
+    positions against ``Dataset.rank`` or thresholds against ``X.T``.  An
+    entry equal to a break belongs to the lower segment.  Regions are
     numbered with the first (lowest-index) break predictor varying fastest.
     """
-    idx = np.zeros(X.shape[0], dtype=np.int64)
+    idx = np.zeros(columns.shape[1], dtype=np.int64)
     stride = 1
     for j, ts in breaks:
-        seg = np.searchsorted(np.asarray(ts, dtype=np.float64), X[:, j], side="left")
-        idx += stride * seg
+        idx += stride * np.searchsorted(ts, columns[j], side="left")
         stride *= len(ts) + 1
     return idx
 
@@ -303,26 +310,46 @@ def induce_partition(data: Dataset, config: ChangePointConfig) -> PartitionGrid:
 
     Observation ``i`` lies in segment ``z`` of break predictor ``b`` iff
     ``k[z-1] < x[i, b] <= k[z]`` with ``-inf``/``+inf`` sentinels at the ends.
+    Each threshold ``t`` must satisfy ``min <= t < max`` on its predictor; it
+    is mapped to its cut position and the grid is built from cut positions,
+    as the search builds it.
 
     Raises
     ------
     InvalidConfigError
-        If any threshold falls outside the open range of its predictor.
+        If any threshold falls outside ``[min, max)`` of its predictor.
     """
-    _validate_thresholds(data, config)
-    region_of = _region_index(config.breaks, data.X)
-    R = config.num_regions
+    for j in config.break_predictors:
+        if not 0 <= j < data.P:
+            raise InvalidConfigError(f"no predictor with index {j}")
+    key = tuple(
+        (j, tuple(data.cut_of_threshold(j, t) for t in ts))
+        for j, ts in config.breaks
+    )
+    return partition_of_key(data, key, config)
+
+
+def partition_of_key(
+    data: Dataset, key: tuple, config: ChangePointConfig
+) -> PartitionGrid:
+    """The grid of ``config``, given its cut positions ``key``.
+
+    ``key`` holds ``(predictor, (cut positions...))`` pairs, ascending; rows
+    are assigned by comparing ``data.rank`` with the positions.
+    """
+    region_of = _region_index(key, data.rank)
+    shape = tuple(len(ps) + 1 for _, ps in key)
+    R = math.prod(shape)
     region_counts = np.bincount(region_of, minlength=R)
     by_region = np.argsort(region_of, kind="stable")
     memberships = tuple(
         np.split(by_region, np.cumsum(region_counts)[:-1])
     )
+    # Region r's segment on break b is digit b of r, first break fastest.
+    cube = region_counts.reshape(shape, order="F")
+    axes = range(len(shape))
     segment_counts = tuple(
-        np.bincount(
-            np.searchsorted(np.asarray(ts), data.X[:, j], side="left"),
-            minlength=len(ts) + 1,
-        )
-        for j, ts in config.breaks
+        cube.sum(axis=tuple(a for a in axes if a != b)) for b in axes
     )
     return PartitionGrid(
         break_predictors=config.break_predictors,
@@ -335,35 +362,20 @@ def induce_partition(data: Dataset, config: ChangePointConfig) -> PartitionGrid:
     )
 
 
-def region_counts_for(data: Dataset, breaks) -> np.ndarray:
-    """Region occupancy counts only, without building memberships.
-
-    ``breaks`` is a sequence of ``(predictor, thresholds)`` pairs sorted by
-    predictor index.  Used by search loops that only need feasibility.
-    """
-    region_of = _region_index(breaks, data.X)
-    R = 1
-    for _, ts in breaks:
-        R *= len(ts) + 1
-    return np.bincount(region_of, minlength=R)
-
-
 def assign_region(thresholds: Mapping[int, Sequence[float]], x) -> int:
     """Region index of a single point under a threshold set.
 
     Points beyond the training range fall into the outermost segment; a
     value equal to a threshold belongs to the lower segment.
     """
-    x = np.asarray(x, dtype=np.float64)
-    breaks = [(j, tuple(thresholds[j])) for j in sorted(thresholds)]
-    return int(_region_index(breaks, x[None, :])[0])
+    return int(assign_regions(thresholds, np.asarray(x)[None, :])[0])
 
 
 def assign_regions(thresholds: Mapping[int, Sequence[float]], X) -> np.ndarray:
     """Vectorized :func:`assign_region` over the rows of ``X``."""
     X = np.asarray(X, dtype=np.float64)
     breaks = [(j, tuple(thresholds[j])) for j in sorted(thresholds)]
-    return _region_index(breaks, X)
+    return _region_index(breaks, X.T)
 
 
 @dataclass

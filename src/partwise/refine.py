@@ -11,7 +11,9 @@ around a search solution and returns the best.
 
 ``ConfigScorer`` wraps partition induction + feature selection + MDL into a
 single memoized evaluation, keyed by cut positions, so search loops never
-score the same configuration twice.
+score the same configuration twice.  It also owns the one feasibility rule
+of the search, every region holds at least P rows, memoized by key.
+Threshold values are built only for the configuration a key describes.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .model import (
     PartitionGrid,
     RegionFit,
     TASK_REGRESSION,
-    induce_partition,
-    region_counts_for,
+    _region_index,
+    partition_of_key,
 )
 
 EXHAUSTIVE_MASK_LIMIT = 15  # exhaustive 2^(P+1) enumeration up to this many columns
@@ -311,7 +313,6 @@ class ScoredConfig:
 
     key: tuple
     config: ChangePointConfig
-    grid: PartitionGrid
     selection: SelectionResult
 
     @property
@@ -324,15 +325,16 @@ class ConfigScorer:
 
     Keys are tuples of ``(predictor, (cut positions...))`` pairs, ascending.
     Scoring the same key twice returns the cached result, which keeps the
-    swarm search cheap once it concentrates.
+    swarm search cheap once it concentrates.  Feasibility is memoized by key
+    as well.
     """
 
-    def __init__(self, data: Dataset, task: str, min_obs: int | None = None):
+    def __init__(self, data: Dataset, task: str):
         data.validate_task(task)
         self.data = data
         self.task = task
-        self.min_obs = int(data.P if min_obs is None else min_obs)
         self._cache: dict[tuple, ScoredConfig] = {}
+        self._feasible: dict[tuple, bool] = {}
         self._region_cache: dict = {}
 
     # -- key plumbing ------------------------------------------------------
@@ -348,15 +350,15 @@ class ConfigScorer:
             {j: [self.data.midpoint(j, p) for p in ps] for j, ps in key}
         )
 
-    def breaks_of_key(self, key: tuple):
-        return [
-            (j, tuple(self.data.midpoint(j, p) for p in ps)) for j, ps in key
-        ]
-
     def feasible(self, key: tuple) -> bool:
-        """Every induced region holds at least ``min_obs`` observations."""
-        counts = region_counts_for(self.data, self.breaks_of_key(key))
-        return int(counts.min()) >= self.min_obs
+        """Every region the key induces holds at least P observations."""
+        ok = self._feasible.get(key)
+        if ok is None:
+            R = math.prod(len(ps) + 1 for _, ps in key)
+            counts = np.bincount(_region_index(key, self.data.rank), minlength=R)
+            ok = int(counts.min()) >= self.data.P
+            self._feasible[key] = ok
+        return ok
 
     # -- scoring -----------------------------------------------------------
 
@@ -365,13 +367,13 @@ class ConfigScorer:
         if hit is not None:
             return hit
         config = self.config_of_key(key)
-        grid = induce_partition(self.data, config)
+        grid = partition_of_key(self.data, key, config)
         if int(grid.region_counts.min()) < 1:
             raise InvalidConfigError("configuration induces an empty region")
         selection = select_features(
             self.data, self.task, grid, region_cache=self._region_cache
         )
-        scored = ScoredConfig(key=key, config=config, grid=grid, selection=selection)
+        scored = ScoredConfig(key=key, config=config, selection=selection)
         self._cache[key] = scored
         return scored
 
@@ -397,17 +399,14 @@ def final_adjust(
     to ``subset_cap`` points, otherwise the full set plus single-drop
     subsets).  Around each subset, each retained threshold is additionally
     shifted one at a time by ``+-1..shift_radius`` order-statistic positions.
-    The feature-selected MDL minimizer is returned; the incumbent is among
-    the candidates, so the result never scores worse than the input.
+    Candidates work on cut positions, and those ``scorer.feasible`` rejects
+    are skipped.  The feature-selected MDL minimizer is returned; the
+    incumbent is scored first, so the result never scores worse than the
+    input.
     """
     if scorer is None:
         scorer = ConfigScorer(data, task)
-    pairs = [
-        (j, scorer.data.cut_of_threshold(j, t))
-        for j, ts in config.breaks
-        for t in ts
-    ]
-    pairs.sort()
+    pairs = [(j, p) for j, ps in scorer.key_of_config(config) for p in ps]
     m = len(pairs)
     incumbent_key = _key_from_pairs(pairs)
     best = scorer.score_key(incumbent_key)
@@ -425,16 +424,10 @@ def final_adjust(
             [i for i in range(m) if i != drop] for drop in range(m)
         ]
 
-    seen_infeasible: set[tuple] = set()
-
     def try_key(key):
         nonlocal best
-        if key in seen_infeasible:
+        if not scorer.feasible(key):
             return
-        if key != incumbent_key and key not in scorer._cache:
-            if not scorer.feasible(key):
-                seen_infeasible.add(key)
-                return
         sc = scorer.score_key(key)
         if sc.total < best.total:
             best = sc

@@ -129,7 +129,7 @@ class TestInitSwarm:
         d = step_data()
         cuts = d.cut_positions(0)
         cands = {0: [d.midpoint(0, int(c)) for c in cuts[[0, 1, 2, 3]]]}
-        scorer = ConfigScorer(d, "regression", min_obs=d.P)
+        scorer = ConfigScorer(d, "regression")
         swarm = init_swarm(d, cands, BpsoParams(swarm_size=8), seed=3, scorer=scorer)
         for p in swarm.particles:
             assert scorer.feasible(p.key)
@@ -207,7 +207,7 @@ class TestRunBpso:
     def test_every_scored_particle_satisfies_constraint(self):
         d = step_data(6)
         cands = {0: [d.midpoint(0, int(c)) for c in d.cut_positions(0)[[2, 9, 30]]]}
-        scorer = ConfigScorer(d, "regression", min_obs=d.P)
+        scorer = ConfigScorer(d, "regression")
         res = run_bpso(d, "regression", cands, BpsoParams(swarm_size=10, max_iter=15), seed=9, scorer=scorer)
         for key in scorer._cache:
             assert scorer.feasible(key)

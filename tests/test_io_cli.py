@@ -221,6 +221,46 @@ def test_out_of_range_argument_exits_2(case, reg_csv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+FIT = ["fit", "--response", "y", "--task", "regression"]
+
+# Tokens are formatted with the paths of the test: the training table, a
+# saved model, its predictor rows and a scratch directory.  A path under a
+# missing directory cannot be written by any user, root included.
+FILE_AND_DELIMITER_ERRORS = {
+    "fit_missing_data": FIT + ["--data", "{dir}/nope.csv", "--out", "{dir}/m.json"],
+    "fit_unwritable_out": FIT + ["--data", "{train}", "--out", "{dir}/no_dir/m.json"],
+    "fit_out_is_directory": FIT + ["--data", "{train}", "--out", "{dir}"],
+    "fit_empty_delim": FIT + ["--data", "{train}", "--out", "{dir}/m.json", "--delim", ""],
+    "fit_two_char_delim": FIT + ["--data", "{train}", "--out", "{dir}/m.json", "--delim", ";;"],
+    "predict_missing_model": ["predict", "--model", "{dir}/nope.json", "--data", "{rows}",
+                              "--out", "{dir}/p.csv"],
+    "predict_missing_data": ["predict", "--model", "{model}", "--data", "{dir}/nope.csv",
+                             "--out", "{dir}/p.csv"],
+    "predict_unwritable_out": ["predict", "--model", "{model}", "--data", "{rows}",
+                               "--out", "{dir}/no_dir/p.csv"],
+    "predict_two_char_delim": ["predict", "--model", "{model}", "--data", "{rows}",
+                               "--out", "{dir}/p.csv", "--delim", ";;"],
+    "simulate_threads_0": ["simulate", "--setting", "reg1", "--trials", "1", "--threads", "0"],
+    "simulate_threads_negative": ["simulate", "--setting", "reg1", "--trials", "1",
+                                  "--threads", "-3"],
+    "simulate_unwritable_out": ["simulate", "--setting", "reg1", "--n", "60", "--trials", "1",
+                                "--out", "{dir}/no_dir/t.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_AND_DELIMITER_ERRORS))
+def test_file_and_delimiter_errors_exit_2(case, reg_csv, saved_model, tmp_path, capsys):
+    text, rows_csv = saved_model
+    model_path = tmp_path / "model.json"
+    model_path.write_text(text)
+    paths = dict(train=reg_csv, model=str(model_path), rows=rows_csv, dir=str(tmp_path))
+    code = main([tok.format(**paths) for tok in FILE_AND_DELIMITER_ERRORS[case]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestCli:
     def test_fit_predict_round_trip(self, reg_csv, tmp_path, capsys):
         model_path = str(tmp_path / "model.json")

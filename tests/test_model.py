@@ -3,13 +3,18 @@ import pytest
 
 from partwise import (
     ChangePointConfig,
+    ConfigScorer,
     Dataset,
+    FitParams,
     InputError,
     InvalidConfigError,
     assign_region,
     assign_regions,
+    estimator,
+    fit_model,
     induce_partition,
 )
+from partwise.model import _region_index
 from partwise.simulate import SETTINGS, generate
 
 from conftest import random_config, random_dataset
@@ -45,6 +50,14 @@ class TestDataset:
         assert d.snap_cut(0, 1) == 2  # inside the tie run, snaps forward
         assert d.snap_cut(0, 3) == 2  # top run snaps back
         assert d.cut_of_threshold(0, 1.5) == 2
+
+    def test_rank_is_last_sorted_position_of_each_value(self):
+        d = Dataset(np.array([[2.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), np.zeros(4))
+        assert d.rank.tolist() == [[3, 0, 2, 2], [3, 3, 0, 3]]
+        for j in range(d.P):
+            for k in d.cut_positions(j):
+                below = d.rank[j] <= k
+                assert np.array_equal(below, d.X[:, j] <= d.midpoint(j, int(k)))
 
     def test_floor_value(self):
         d = Dataset(np.array([[0.0], [1.0], [3.0], [4.0]]), np.zeros(4))
@@ -103,6 +116,13 @@ class TestInducePartition:
             induce_partition(simple_data, ChangePointConfig({0: [hi + 1.0]}))
         with pytest.raises(InvalidConfigError):
             induce_partition(simple_data, ChangePointConfig({0: [hi]}))
+
+    def test_threshold_at_minimum_accepted(self, simple_data):
+        lo = simple_data.sorted_values[0][0]
+        grid = induce_partition(simple_data, ChangePointConfig({0: [lo]}))
+        assert grid.region_counts.tolist() == [1, simple_data.n - 1]
+        with pytest.raises(InvalidConfigError):
+            induce_partition(simple_data, ChangePointConfig({0: [np.nextafter(lo, -np.inf)]}))
 
     def test_partition_exhaustive_exclusive_random(self):
         rng = np.random.default_rng(99)
@@ -182,3 +202,55 @@ class TestAssignRegion:
     def test_out_of_range_uses_outermost(self):
         assert assign_region({0: [1.0]}, [-100.0]) == 0
         assert assign_region({0: [1.0]}, [100.0]) == 1
+
+
+def _adjacent_double_data(kind):
+    """A predictor whose cut separates two adjacent doubles ``a < b``.
+
+    With ``a = 1.0`` the rounded mean of ``a`` and ``b`` is ``a``, the
+    predictor's minimum.  With ``a = 0.125 + 2**-55`` it rounds up to ``b``,
+    and a third value above ``b`` keeps ``b`` inside the range.
+    """
+    rng = np.random.default_rng(5)
+    if kind == "mean_is_min":
+        a = 1.0
+        x1 = np.repeat([a, np.nextafter(a, 2.0)], 100)
+    else:
+        a = 0.125 + 2.0**-55
+        b = np.nextafter(a, 1.0)
+        assert 0.5 * (a + b) == b
+        x1 = np.repeat([a, b, 0.25], [40, 20, 20])
+    n = x1.size
+    x2 = rng.uniform(-1.0, 1.0, n)
+    y = np.where(x1 == a, 2.0 + x2, -2.0 - x2) + rng.normal(0, 0.1, n)
+    return Dataset(np.column_stack([x1, x2]), y)
+
+
+@pytest.mark.parametrize("kind", ["mean_is_min", "mean_rounds_up"])
+class TestAdjacentDoubles:
+    def test_midpoint_induces_its_cut(self, kind):
+        d = _adjacent_double_data(kind)
+        scorer = ConfigScorer(d, "regression")
+        for j in range(d.P):
+            for k in d.cut_positions(j):
+                t = d.midpoint(j, int(k))
+                assert d.sorted_values[j][k] <= t < d.sorted_values[j][k + 1]
+                key = ((j, (int(k),)),)
+                assert scorer.key_of_config(scorer.config_of_key(key)) == key
+
+    def test_fit_succeeds_and_config_gives_the_scored_partition(self, kind, monkeypatch):
+        d = _adjacent_double_data(kind)
+        scored = []
+        to_model = estimator._to_model
+
+        def capture(data, task, sc, *args):
+            scored.append(sc)
+            return to_model(data, task, sc, *args)
+
+        monkeypatch.setattr(estimator, "_to_model", capture)
+        model = fit_model(d, "regression", FitParams(seed=3)).model
+        assert model.config.B > 0
+        key = scored[0].key
+        got = assign_regions(model.config.as_dict(), d.X)
+        assert np.array_equal(got, _region_index(key, d.rank))
+        assert np.array_equal(got, induce_partition(d, model.config).region_of)

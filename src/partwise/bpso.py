@@ -1,29 +1,39 @@
 """Binary particle swarm search over break-candidate matrices.
 
-Particles are P-by-n bit matrices: bit ``(j, k)`` set means a cut at
+The search space is P-by-n bit matrices: bit ``(j, k)`` set means a cut at
 position ``k`` of predictor ``j``, between its k-th and (k+1)-th order
-statistics.  The search works on cut positions only: a particle's key lists
-its set bits, and ``ConfigScorer`` scores keys and decides their
-feasibility; threshold values (``min <= t < max``) are built only for the
-configuration a key describes.  Velocity
-updates squash through a sigmoid of an absolute value, so velocities live in
-``[0.5, 1)``; position updates copy bits from the particle itself, its pbest,
-or the global best depending on which velocity band is hit.  Elitist
-mutation clones the best tenth of the swarm over the worst tenth each
-iteration, and the search stops once the global best score is unchanged for
-five consecutive iterations.
+statistics.  A particle is stored as its key, the sorted cut positions of
+each predictor, never as a matrix; ``ConfigScorer`` scores keys and decides
+their feasibility, and threshold values (``min <= t < max``) are built only
+for the configuration a key describes.  Velocity updates squash through a
+sigmoid of an absolute value, so velocities live in ``[0.5, 1)``; position
+updates copy bits from the particle itself, its pbest, or the global best
+depending on which velocity band is hit.  Elitist mutation clones the best
+tenth of the swarm over the worst tenth each iteration, and the search
+stops once the global best score is unchanged for five consecutive
+iterations.
+
+Velocities are sparse.  Where a particle, its pbest and the global best
+agree, both difference terms of the velocity update are exactly zero, so
+the velocity there follows ``v <- sigmoid(|omega * v|)`` from 0 and the new
+bit is the common bit.  Every position that has never disagreed therefore
+shares one velocity, ``SwarmState.rest_velocity``, and each particle
+stores velocities only at the positions where it has.  An iteration draws
+its uniforms only at the disagreeing positions, by PCG64 jump-ahead to the
+places a dense ``rng.random((2, P, n))`` would give them (O'Neill 2014),
+so seeded results are those of the dense update bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .model import ChangePointConfig, Dataset, InputError
-from .refine import ConfigScorer, ScoredConfig
+from .refine import ConfigScorer, ScoredConfig, _key_from_pairs
 
 SHIFT_SPAN = 3  # random bit adjustments are drawn from {-3, ..., +3}
 
@@ -42,19 +52,29 @@ class BpsoParams:
     tol: float = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class Particle:
-    bits: np.ndarray  # (P, n) bool
+    """A feasible key (per predictor, its ascending cut positions) and its score."""
+
     key: tuple
     score: float
 
 
 @dataclass
 class SwarmState:
+    """Particles, their bests, and their sparse velocities.
+
+    ``velocities[i]`` maps the flat position ``j * n + pos`` to particle
+    ``i``'s velocity there.  It holds every position where the particle,
+    its pbest and the global best have disagreed at some iteration; every
+    other position of every particle has velocity ``rest_velocity``.
+    """
+
     particles: list[Particle]
-    velocities: np.ndarray  # (N, P, n) in [0, 1]
     pbest: list[Particle]
     gbest: Particle
+    velocities: list[dict[int, float]]
+    rest_velocity: float = 0.0
     stall_count: int = 0
 
     @property
@@ -113,42 +133,37 @@ def _candidate_pairs(
     pairs = []
     for j in sorted(candidates):
         for t in candidates[j]:
-            pairs.append((j, data.cut_of_threshold(j, t)))
+            pairs.append((int(j), data.cut_of_threshold(j, t)))
     return sorted(set(pairs))
 
 
-def _key_of_bits(bits: np.ndarray) -> tuple:
-    out = []
-    for j in range(bits.shape[0]):
-        pos = np.flatnonzero(bits[j])
-        if pos.size:
-            out.append((j, tuple(int(p) for p in pos)))
-    return tuple(out)
+def _flat_of_key(key: tuple, n: int) -> set[int]:
+    return {j * n + p for j, ps in key for p in ps}
 
 
 def _repair(
-    bits: np.ndarray, scorer: ConfigScorer, rng: np.random.Generator
+    cuts: list[tuple[int, int]], scorer: ConfigScorer, rng: np.random.Generator
 ) -> tuple:
-    """Drop random set bits until the key is feasible; return that key."""
+    """Drop random cuts from the sorted list until its key is feasible;
+    return that key."""
     while True:
-        key = _key_of_bits(bits)
+        key = _key_from_pairs(cuts)
         if scorer.feasible(key):
             return key
-        set_pos = np.argwhere(bits)
-        drop = set_pos[int(rng.integers(set_pos.shape[0]))]
-        bits[drop[0], drop[1]] = False
+        del cuts[int(rng.integers(len(cuts)))]
 
 
-def _set_snapped(bits: np.ndarray, data: Dataset, j: int, pos: int) -> None:
+def _set_snapped(cuts: set, data: Dataset, j: int, pos: int) -> None:
     snapped = data.snap_cut(j, pos)
     if snapped is not None:
-        bits[j, snapped] = True
+        cuts.add((j, snapped))
 
 
-def _make_particle(bits: np.ndarray, rng, scorer: ConfigScorer) -> Particle:
-    key = _repair(bits, scorer, rng)
-    score = scorer.score_key(key).total
-    return Particle(bits=bits, key=key, score=score)
+def _make_particle(
+    cuts: Iterable[tuple[int, int]], rng, scorer: ConfigScorer
+) -> Particle:
+    key = _repair(sorted(cuts), scorer, rng)
+    return Particle(key=key, score=scorer.score_key(key).total)
 
 
 def init_swarm(
@@ -162,15 +177,13 @@ def init_swarm(
 
     Particle 1 encodes the whole candidate set; the next half encodes
     random subsets (each candidate kept with probability 1/2); the rest
-    encode random subsets with every kept bit shifted by a random offset in
+    encode random subsets with every kept cut shifted by a random offset in
     ``{-3..+3}`` order-statistic positions.  All velocities start at 0.  An
-    empty candidate set degenerates to a single all-zeros particle.
+    empty candidate set degenerates to a single particle with no cut.
     """
     pairs = _candidate_pairs(data, candidates)
-    P, n = data.P, data.n
     if not pairs:
-        bits = np.zeros((P, n), dtype=bool)
-        particles = [_make_particle(bits, _rng(seed, 0, 0, 0), scorer)]
+        particles = [_make_particle([], _rng(seed, 0, 0, 0), scorer)]
     else:
         N = params.swarm_size
         if N < 3:
@@ -179,65 +192,59 @@ def init_swarm(
         particles = []
         for i in range(N):
             rng = _rng(seed, 0, 0, i)
-            bits = np.zeros((P, n), dtype=bool)
             if i == 0:
-                for j, pos in pairs:
-                    bits[j, pos] = True
+                cuts = set(pairs)
             elif i < half:
                 keep = rng.random(len(pairs)) < 0.5
-                for (j, pos), k in zip(pairs, keep):
-                    if k:
-                        bits[j, pos] = True
+                cuts = {pr for pr, k in zip(pairs, keep) if k}
             else:
                 keep = rng.random(len(pairs)) < 0.5
                 offsets = rng.integers(-SHIFT_SPAN, SHIFT_SPAN + 1, len(pairs))
+                cuts = set()
                 for (j, pos), k, off in zip(pairs, keep, offsets):
                     if k:
-                        _set_snapped(bits, data, j, pos + int(off))
-            particles.append(_make_particle(bits, rng, scorer))
-    velocities = np.zeros((len(particles), P, n))
-    pbest = [Particle(p.bits.copy(), p.key, p.score) for p in particles]
-    g = min(range(len(pbest)), key=lambda i: (pbest[i].score, i))
-    gbest = Particle(pbest[g].bits.copy(), pbest[g].key, pbest[g].score)
+                        _set_snapped(cuts, data, j, pos + int(off))
+            particles.append(_make_particle(cuts, rng, scorer))
+    g = min(range(len(particles)), key=lambda i: (particles[i].score, i))
     return SwarmState(
-        particles=particles, velocities=velocities, pbest=pbest, gbest=gbest
+        particles=particles,
+        pbest=list(particles),
+        gbest=particles[g],
+        velocities=[{} for _ in particles],
     )
 
 
-def _mutate_bits(
-    bits: np.ndarray,
+def _mutate_cuts(
+    key: tuple,
     data: Dataset,
     pairs: list[tuple[int, int]],
     rng: np.random.Generator,
-) -> np.ndarray:
-    """One mutation: resize the bit set, shift the bits, or both."""
-    out = bits.copy()
+) -> set[tuple[int, int]]:
+    """One mutation of a key's cuts: resize the set, shift the cuts, or both."""
+    out = {(j, p) for j, ps in key for p in ps}
     choice = int(rng.integers(3))
 
     def resize():
-        here = {(int(j), int(p)) for j, p in np.argwhere(out)}
-        add_pool = [pr for pr in pairs if pr not in here]
+        add_pool = [pr for pr in pairs if pr not in out]
         want_add = bool(rng.integers(2))
         if want_add and not add_pool:
             want_add = False
-        if not want_add and not here:
+        if not want_add and not out:
             want_add = bool(add_pool)
         if want_add and add_pool:
-            j, pos = add_pool[int(rng.integers(len(add_pool)))]
-            out[j, pos] = True
-        elif here:
-            drops = sorted(here)
-            j, pos = drops[int(rng.integers(len(drops)))]
-            out[j, pos] = False
+            out.add(add_pool[int(rng.integers(len(add_pool)))])
+        elif out:
+            drops = sorted(out)
+            out.discard(drops[int(rng.integers(len(drops)))])
 
     def shift():
-        set_pos = np.argwhere(out)
-        if set_pos.shape[0] == 0:
+        set_pos = sorted(out)
+        if not set_pos:
             return
-        offsets = rng.integers(-SHIFT_SPAN, SHIFT_SPAN + 1, set_pos.shape[0])
-        out[:] = False
+        offsets = rng.integers(-SHIFT_SPAN, SHIFT_SPAN + 1, len(set_pos))
+        out.clear()
         for (j, pos), off in zip(set_pos, offsets):
-            _set_snapped(out, data, int(j), int(pos) + int(off))
+            _set_snapped(out, data, j, pos + int(off))
 
     if choice == 0:
         resize()
@@ -263,6 +270,7 @@ def mutate(
     Mutants are repaired to the minimum-observations constraint before
     scoring.  A mutant that beats the pbest of the slot it lands in updates
     that pbest, so the global best never worsens across a mutation step.
+    Velocities stay with their slot.
     """
     N = swarm.size
     k = math.ceil(N / 10)
@@ -271,12 +279,31 @@ def mutate(
     worst_idx = order[::-1][:k]
     for rank, src in enumerate(best_idx):
         rng = _rng(seed, 2, iteration, rank)
-        bits = _mutate_bits(swarm.particles[src].bits, data, pairs, rng)
-        mutant = _make_particle(bits, rng, scorer)
+        cuts = _mutate_cuts(swarm.particles[src].key, data, pairs, rng)
+        mutant = _make_particle(cuts, rng, scorer)
         slot = worst_idx[rank]
         swarm.particles[slot] = mutant
         if mutant.score < swarm.pbest[slot].score:
-            swarm.pbest[slot] = Particle(mutant.bits.copy(), mutant.key, mutant.score)
+            swarm.pbest[slot] = mutant
+
+
+def _draws(
+    rng: np.random.Generator, flat: list[int], size: int
+) -> tuple[dict[int, float], dict[int, float]]:
+    """The r1 and r2 draws of ``rng.random((2, size))`` at the ascending
+    flat positions ``flat``, read by jump-ahead.  ``rng`` is left where that
+    call would leave it."""
+    bit_generator = rng.bit_generator
+    drawn = 0
+    r1: dict[int, float] = {}
+    r2: dict[int, float] = {}
+    for offset, r in ((0, r1), (size, r2)):
+        for f in flat:
+            bit_generator.advance(offset + f - drawn)
+            r[f] = rng.random()
+            drawn = offset + f + 1
+    bit_generator.advance(2 * size - drawn)
+    return r1, r2
 
 
 def _advance(
@@ -287,38 +314,64 @@ def _advance(
     iteration: int,
     scorer: ConfigScorer,
 ) -> None:
-    """Velocity + position updates and rescoring for one iteration."""
-    gb = swarm.gbest.bits.astype(np.float64)
+    """Velocity + position updates and rescoring for one iteration.
+
+    Each particle is updated at the positions where it, its pbest and the
+    global best disagree, and at the positions it holds a velocity for.
+    Everywhere else the new bit is the common bit, and the velocity is the
+    shared rest velocity, which advances once per iteration.
+    """
+    n = data.n
+    size = data.P * n
+    gbest = _flat_of_key(swarm.gbest.key, n)
+    rest = swarm.rest_velocity
     for i, particle in enumerate(swarm.particles):
         pbest = swarm.pbest[i]
+        x = _flat_of_key(particle.key, n)
+        pb = _flat_of_key(pbest.key, n)
+        agree = x & pb & gbest
+        differ = sorted((x | pb | gbest) - agree)
+        stored = swarm.velocities[i]
+        at = sorted(stored.keys() | differ)
         rng = _rng(seed, 1, iteration, i)
-        r = rng.random((2,) + particle.bits.shape)
+        r1, r2 = _draws(rng, differ, size)
+        x_at = np.array([f in x for f in at], dtype=bool)
+        pb_at = np.array([f in pb for f in at], dtype=bool)
+        gb_at = np.array([f in gbest for f in at], dtype=bool)
         v = update_velocity(
-            swarm.velocities[i],
-            particle.bits.astype(np.float64),
-            pbest.bits.astype(np.float64),
-            gb,
+            np.array([stored.get(f, rest) for f in at], dtype=np.float64),
+            x_at.astype(np.float64),
+            pb_at.astype(np.float64),
+            gb_at.astype(np.float64),
             params.omega,
             params.c1,
             params.c2,
-            r1=r[0],
-            r2=r[1],
+            r1=np.array([r1.get(f, 0.0) for f in at], dtype=np.float64),
+            r2=np.array([r2.get(f, 0.0) for f in at], dtype=np.float64),
         )
-        swarm.velocities[i] = v
-        bits = update_particle_bit(
-            particle.bits, pbest.bits, swarm.gbest.bits, v, params.a
-        )
-        moved = _make_particle(bits, rng, scorer)
+        swarm.velocities[i] = dict(zip(at, v.tolist()))
+        bits = update_particle_bit(x_at, pb_at, gb_at, v, params.a)
+        cuts = [divmod(f, n) for f in agree.union(f for f, b in zip(at, bits) if b)]
+        moved = _make_particle(cuts, rng, scorer)
         swarm.particles[i] = moved
         if moved.score < pbest.score:
-            swarm.pbest[i] = Particle(moved.bits.copy(), moved.key, moved.score)
+            swarm.pbest[i] = moved
+    # The rest velocity takes the update of a position where all three
+    # agree: both difference terms are exactly zero whatever r1 and r2.  It
+    # goes through a one-element array so that np.exp runs the same loop as
+    # on the gathered positions.
+    swarm.rest_velocity = float(
+        update_velocity(
+            np.array([rest]), 0.0, 0.0, 0.0, params.omega, params.c1, params.c2,
+            r1=0.0, r2=0.0,
+        )[0]
+    )
 
 
 def _refresh_gbest(swarm: SwarmState) -> None:
     g = min(range(swarm.size), key=lambda i: (swarm.pbest[i].score, i))
     if swarm.pbest[g].score < swarm.gbest.score:
-        p = swarm.pbest[g]
-        swarm.gbest = Particle(p.bits.copy(), p.key, p.score)
+        swarm.gbest = swarm.pbest[g]
 
 
 def run_bpso(

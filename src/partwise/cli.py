@@ -48,12 +48,15 @@ def _threads(value: int | None) -> int:
             raise InputError(f"--threads must be at least 1, got {value}")
         return value
     env = os.environ.get("PARTWISE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InputError(f"PARTWISE_THREADS must be a positive integer, got {env!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,8 +157,18 @@ def _cmd_fit(args) -> int:
         ),
         seed=args.seed,
     )
-    outcome = fit_model(data, args.task, params, response_name=response)
-    save_model(outcome.model, args.out)
+    # Open --out before the search, so that a path that cannot be written
+    # fails at once; a fit that fails leaves no new file behind.
+    created = not os.path.exists(args.out)
+    with open(args.out, "a"):
+        pass
+    try:
+        outcome = fit_model(data, args.task, params, response_name=response)
+        save_model(outcome.model, args.out)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     print("\n".join(_report_lines(outcome)))
     if not outcome.bpso_converged:
         print("warning: search hit max-iter without converging", file=sys.stderr)

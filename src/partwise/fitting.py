@@ -237,8 +237,9 @@ class RegionDesign:
     Masks are encoded as integers with bit ``i`` selecting design column
     ``i`` (bit 0 = intercept).  For regression the Gram matrix is formed
     once, so each mask costs one small Cholesky solve.  A classification
-    region with a single class (``single_class``) gets the intercept-only
-    fit of :func:`single_class_fit` whatever the mask.
+    region with a single class (``single_class``) has one fit, the
+    intercept-only fit of :func:`single_class_fit`; every other mask is
+    infeasible there.
     """
 
     def __init__(self, data: Dataset, rows: np.ndarray, task: str):
@@ -281,6 +282,8 @@ class RegionDesign:
             rss = max(self.yty - float(beta @ self.c[cols]), 0.0)
             return beta, rss, False
         if self.single_class:
+            if cols.tolist() != [0]:
+                return None
             b0, nll = single_class_fit(self.task, self.y)
             return np.array([b0]), nll, True
         beta, nll, _conv, stab = _newton_glm(self.D[:, cols], self.y, self.task)
@@ -304,13 +307,13 @@ def fit_region(
         raise ValueError("rows must be nonempty")
     mask = np.asarray(mask, dtype=bool)
     design = RegionDesign(data, rows, task)
+    if design.single_class:
+        mask = np.zeros(data.P + 1, dtype=bool)
+        mask[0] = True
     cols = np.flatnonzero(mask)
     mask_int = sum(1 << int(i) for i in cols)
     res = design.fit_mask(mask_int, cols, np.ix_(cols, cols))
     if res is None:
         raise SingularFitError("rank-deficient design")
     beta, stat, stabilized = res
-    if design.single_class:
-        mask = np.zeros(data.P + 1, dtype=bool)
-        mask[0] = True
     return RegionFit(mask, beta, stat, stabilized=stabilized)

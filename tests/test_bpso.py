@@ -98,7 +98,7 @@ class TestInitSwarm:
         pairs = _candidate_pairs(d, cands)
         expect = _key_from_pairs(pairs)
         assert swarm.particles[0].key == expect
-        assert int(swarm.particles[0].bits.sum()) == 3
+        assert sum(len(ps) for _, ps in swarm.particles[0].key) == 3
 
     def test_empty_candidates_single_zero_particle(self):
         d = step_data()
@@ -112,18 +112,19 @@ class TestInitSwarm:
         cands = {0: [d.midpoint(0, int(d.cut_positions(0)[10]))]}
         scorer = ConfigScorer(d, "regression")
         swarm = init_swarm(d, cands, BpsoParams(swarm_size=6), seed=2, scorer=scorer)
-        assert np.all(swarm.velocities == 0.0)
+        assert swarm.rest_velocity == 0.0
+        assert swarm.velocities == [{} for _ in range(swarm.size)]
 
     def test_bit_identical_across_runs(self):
         d = step_data()
         cands = {0: [d.midpoint(0, int(c)) for c in d.cut_positions(0)[[4, 18]]],
                  1: [d.midpoint(1, int(d.cut_positions(1)[9]))]}
-        bits = []
+        keys = []
         for _ in range(2):
             scorer = ConfigScorer(d, "regression")
             swarm = init_swarm(d, cands, BpsoParams(swarm_size=10), seed=7, scorer=scorer)
-            bits.append(np.stack([p.bits for p in swarm.particles]))
-        assert np.array_equal(bits[0], bits[1])
+            keys.append([p.key for p in swarm.particles])
+        assert keys[0] == keys[1]
 
     def test_constraint_respected(self):
         d = step_data()

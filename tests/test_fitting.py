@@ -10,6 +10,7 @@ from partwise.fitting import (
     MAX_NEWTON_ITER,
     NEWTON_TOL,
     RIDGE,
+    RegionDesign,
     _cholesky,
     _newton_glm,
     _solve_spd,
@@ -18,6 +19,7 @@ from partwise.fitting import (
     logistic_nll,
     probit_grad_hess,
     probit_nll,
+    single_class_fit,
 )
 
 LOG2 = float(np.log(2.0))
@@ -136,6 +138,25 @@ class TestLogistic:
         assert fit.mask.tolist() == [True, False, False]
         assert fit.stabilized
         assert 0 <= fit.fit_stat < 1e-3
+
+    @pytest.mark.parametrize("task", ["logistic", "probit"])
+    def test_single_class_design_fits_only_the_intercept(self, task):
+        rng = np.random.default_rng(4)
+        d = Dataset(rng.normal(0, 1, (20, 2)), np.zeros(20))
+        design = RegionDesign(d, all_rows(d), task)
+        assert design.single_class
+        for mask_int in range(1 << (d.P + 1)):
+            cols = np.array([i for i in range(d.P + 1) if mask_int >> i & 1], dtype=np.int64)
+            res = design.fit_mask(mask_int, cols, np.ix_(cols, cols))
+            if mask_int == 1:
+                assert res[0].size == 1 and res[2]
+            else:
+                assert res is None
+        for mask in (np.zeros(3, dtype=bool), full_mask(d)):
+            fit = fit_region(d, all_rows(d), mask, task)
+            assert fit.mask.tolist() == [True, False, False]
+            assert fit.beta.tolist() == [single_class_fit(task, design.y)[0]]
+            assert fit.stabilized
 
     def test_frozen_optimizer_oracle(self):
         # Expected optimum computed once with an independent backtracking

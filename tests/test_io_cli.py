@@ -248,17 +248,56 @@ FILE_AND_DELIMITER_ERRORS = {
 }
 
 
+def _fit_model_not_called(*args, **kwargs):
+    raise AssertionError("fit_model must not run")
+
+
 @pytest.mark.parametrize("case", sorted(FILE_AND_DELIMITER_ERRORS))
-def test_file_and_delimiter_errors_exit_2(case, reg_csv, saved_model, tmp_path, capsys):
+def test_file_and_delimiter_errors_exit_2(
+    case, reg_csv, saved_model, tmp_path, capsys, monkeypatch
+):
+    # Every case fails before the search starts, and leaves no new file.
+    monkeypatch.setattr("partwise.cli.fit_model", _fit_model_not_called)
     text, rows_csv = saved_model
     model_path = tmp_path / "model.json"
     model_path.write_text(text)
+    before = sorted(os.listdir(tmp_path))
     paths = dict(train=reg_csv, model=str(model_path), rows=rows_csv, dir=str(tmp_path))
     code = main([tok.format(**paths) for tok in FILE_AND_DELIMITER_ERRORS[case]])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def _fit_model_fails(*args, **kwargs):
+    raise InputError("the fit failed")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_fit_leaves_out_as_it_was(existing, reg_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("partwise.cli.fit_model", _fit_model_fails)
+    out = tmp_path / "m.json"
+    if existing:
+        out.write_text("an earlier model\n")
+    code = main(FIT + ["--data", reg_csv, "--out", str(out)])
+    assert code == 2
+    assert "the fit failed" in capsys.readouterr().err
+    if existing:
+        assert out.read_text() == "an earlier model\n"
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-4", "abc"])
+def test_bad_partwise_threads_exits_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("PARTWISE_THREADS", value)
+    code = main(["simulate", "--setting", "reg1", "--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: PARTWISE_THREADS")
+    assert repr(value) in err
 
 
 class TestCli:

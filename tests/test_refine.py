@@ -272,12 +272,9 @@ class TestBoundedMenu:
                 f.stabilized and not x.single_class for f, x in zip(got.fits, designs)
             )
             if grid.R <= 3:
-                # A single-class region scores every mask alike, so the
-                # oracle's cross product prefers the empty mask there.
                 _, want_masks = exhaustive_selection_oracle(d, grid, task=task)
-                for f, m, x in zip(got.fits, want_masks, designs):
-                    if not x.single_class:
-                        assert tuple(f.mask.tolist()) == tuple(bool(b) for b in m)
+                for f, m in zip(got.fits, want_masks):
+                    assert tuple(f.mask.tolist()) == tuple(bool(b) for b in m)
         assert kinds["single_class"] >= 4
         assert kinds["stabilized"] >= 4
 

@@ -3,15 +3,17 @@
 The search space is P-by-n bit matrices: bit ``(j, k)`` set means a cut at
 position ``k`` of predictor ``j``, between its k-th and (k+1)-th order
 statistics.  A particle is stored as its key, the sorted cut positions of
-each predictor, never as a matrix; ``ConfigScorer`` scores keys and decides
-their feasibility, and threshold values (``min <= t < max``) are built only
-for the configuration a key describes.  Velocity updates squash through a
-sigmoid of an absolute value, so velocities live in ``[0.5, 1)``; position
-updates copy bits from the particle itself, its pbest, or the global best
-depending on which velocity band is hit.  Elitist mutation clones the best
-tenth of the swarm over the worst tenth each iteration, and the search
-stops once the global best score is unchanged for five consecutive
-iterations.
+each predictor, never as a matrix.  ``ConfigScorer.score_key`` scores a
+key or rejects it as infeasible in one pass over the rows, and a rejected
+key is repaired by dropping random cuts.  Threshold values
+(``min <= t < max``) are built only for the configuration a key describes.
+Velocity updates squash through a sigmoid of an absolute value, so
+velocities live in ``[0.5, 1)``; position updates copy bits from the
+particle itself, its pbest, or the global best depending on which velocity
+band is hit.  Elitist mutation clones the best tenth of the swarm over the
+worst tenth each iteration, and the search stops once the global best score
+is unchanged for five consecutive iterations (``STALL_ITERS``), as in the
+paper, or after ``max_iter`` iterations.
 
 Velocities are sparse.  Where a particle, its pbest and the global best
 agree, both difference terms of the velocity update are exactly zero, so
@@ -36,6 +38,10 @@ from .model import ChangePointConfig, Dataset, InputError
 from .refine import ConfigScorer, ScoredConfig, _key_from_pairs
 
 SHIFT_SPAN = 3  # random bit adjustments are drawn from {-3, ..., +3}
+# The search has converged once the global best improves by no more than
+# STALL_TOL for STALL_ITERS consecutive iterations.
+STALL_ITERS = 5
+STALL_TOL = 1e-12
 
 
 @dataclass
@@ -48,8 +54,6 @@ class BpsoParams:
     c2: float = 2.0
     a: float = 0.5
     max_iter: int = 200
-    stall_iters: int = 5
-    tol: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,13 +147,13 @@ def _flat_of_key(key: tuple, n: int) -> set[int]:
 
 def _repair(
     cuts: list[tuple[int, int]], scorer: ConfigScorer, rng: np.random.Generator
-) -> tuple:
+) -> ScoredConfig:
     """Drop random cuts from the sorted list until its key is feasible;
-    return that key."""
+    return that key's score."""
     while True:
-        key = _key_from_pairs(cuts)
-        if scorer.feasible(key):
-            return key
+        scored = scorer.score_key(_key_from_pairs(cuts))
+        if scored is not None:
+            return scored
         del cuts[int(rng.integers(len(cuts)))]
 
 
@@ -162,8 +166,8 @@ def _set_snapped(cuts: set, data: Dataset, j: int, pos: int) -> None:
 def _make_particle(
     cuts: Iterable[tuple[int, int]], rng, scorer: ConfigScorer
 ) -> Particle:
-    key = _repair(sorted(cuts), scorer, rng)
-    return Particle(key=key, score=scorer.score_key(key).total)
+    scored = _repair(sorted(cuts), scorer, rng)
+    return Particle(key=scored.key, score=scored.total)
 
 
 def init_swarm(
@@ -386,12 +390,18 @@ def run_bpso(
 
     Runs velocity/position updates, per-particle best tracking, elitist
     mutation, and global-best bookkeeping until the global best is
-    unchanged (within ``params.tol``) for ``params.stall_iters`` consecutive
+    unchanged (within ``STALL_TOL``) for ``STALL_ITERS`` consecutive
     iterations, or ``params.max_iter`` is reached (the result is then
-    flagged as not converged).
+    flagged as not converged).  Raises InputError for a non-finite
+    ``omega``, ``c1``, ``c2`` or ``a`` and for ``max_iter`` below 1.
     """
     if params is None:
         params = BpsoParams()
+    for name in ("omega", "c1", "c2", "a"):
+        if not math.isfinite(getattr(params, name)):
+            raise InputError(f"{name} must be finite, got {getattr(params, name)}")
+    if params.max_iter < 1:
+        raise InputError(f"max_iter must be at least 1, got {params.max_iter}")
     if scorer is None:
         scorer = ConfigScorer(data, task)
     pairs = _candidate_pairs(data, candidates)
@@ -404,11 +414,11 @@ def run_bpso(
         _advance(swarm, data, params, seed, t, scorer)
         mutate(swarm, data, pairs, params, seed, t, scorer)
         _refresh_gbest(swarm)
-        if prev - swarm.gbest.score <= params.tol:
+        if prev - swarm.gbest.score <= STALL_TOL:
             swarm.stall_count += 1
         else:
             swarm.stall_count = 0
-        if swarm.stall_count >= params.stall_iters:
+        if swarm.stall_count >= STALL_ITERS:
             converged = True
             break
     key = swarm.gbest.key

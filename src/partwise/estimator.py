@@ -33,7 +33,6 @@ class FitParams:
     max_cp_per_predictor: int = DEFAULT_MAX_PER_PREDICTOR
     min_segment: int | None = None
     swarm: BpsoParams = field(default_factory=BpsoParams)
-    shift_radius: int = 3
     seed: int = 0
 
 
@@ -90,13 +89,7 @@ def fit_model(
     # score strictly decreases across passes, which bounds the loop.
     best = scorer.score_key(result.key)
     for _ in range(50):
-        adj = final_adjust(
-            data,
-            task,
-            best.config,
-            shift_radius=params.shift_radius,
-            scorer=scorer,
-        )
+        adj = final_adjust(data, task, best.config, scorer=scorer)
         if adj.key == best.key:
             break
         best = adj

@@ -5,6 +5,9 @@ for regression (one Cholesky solve of the cached Gram per mask) and
 damped-Newton maximum likelihood for the logistic and probit links.
 ``fit_region`` fits one mask through it, and ``single_class_fit`` holds the
 rule for single-class regions, which have no interior maximum.
+``RegionDesign.fit_mask`` applies that rule to the intercept mask of such a
+region and reports every other mask infeasible, so a single-class region's
+menu is its one intercept fit.
 """
 
 from __future__ import annotations
@@ -234,9 +237,9 @@ def single_class_fit(task: str, y: np.ndarray) -> tuple[float, float]:
 class RegionDesign:
     """Cached per-region design for enumerating variable masks.
 
-    Masks are encoded as integers with bit ``i`` selecting design column
-    ``i`` (bit 0 = intercept).  For regression the Gram matrix is formed
-    once, so each mask costs one small Cholesky solve.  A classification
+    A mask is given by the design columns it selects (column 0 is the
+    intercept).  For regression the Gram matrix is formed once, so each
+    mask costs one small Cholesky solve.  A classification
     region with a single class (``single_class``) has one fit, the
     intercept-only fit of :func:`single_class_fit`; every other mask is
     infeasible there.
@@ -248,7 +251,6 @@ class RegionDesign:
         self.n_r = int(rows.size)
         self.D = full_design(data, rows)
         self.y = data.y[rows]
-        self._cache: dict[int, tuple[np.ndarray, float, bool]] = {}
         if task == TASK_REGRESSION:
             self.G = self.D.T @ self.D
             self.c = self.D.T @ self.y
@@ -257,19 +259,12 @@ class RegionDesign:
             task != TASK_REGRESSION and self.n_r > 0 and self.y.min() == self.y.max()
         )
 
-    def fit_mask(self, mask_int: int, cols: np.ndarray, ix: tuple):
-        """``(beta, fit_stat, stabilized)`` for a mask, or None if infeasible.
+    def fit_mask(self, cols: np.ndarray, ix: tuple):
+        """``(beta, fit_stat, stabilized)`` for the mask selecting design
+        columns ``cols``, or None if the mask is infeasible.
 
         ``ix`` is ``np.ix_(cols, cols)``, built once per mask by the caller.
         """
-        hit = self._cache.get(mask_int)
-        if hit is not None or mask_int in self._cache:
-            return hit
-        result = self._fit_mask(cols, ix)
-        self._cache[mask_int] = result
-        return result
-
-    def _fit_mask(self, cols: np.ndarray, ix: tuple):
         if self.task == TASK_REGRESSION:
             if cols.size == 0:
                 return np.empty(0), self.yty, False
@@ -311,8 +306,7 @@ def fit_region(
         mask = np.zeros(data.P + 1, dtype=bool)
         mask[0] = True
     cols = np.flatnonzero(mask)
-    mask_int = sum(1 << int(i) for i in cols)
-    res = design.fit_mask(mask_int, cols, np.ix_(cols, cols))
+    res = design.fit_mask(cols, np.ix_(cols, cols))
     if res is None:
         raise SingularFitError("rank-deficient design")
     beta, stat, stabilized = res

@@ -259,7 +259,7 @@ def document_to_model(doc: dict) -> FittedModel:
             converged=bool(doc["converged"]),
             n_obs=int(doc["n_obs"]),
         )
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from None
 
 
@@ -268,11 +268,24 @@ def save_model(model: FittedModel, path: str) -> None:
         fh.write(dumps_document(model_to_document(model)))
 
 
+def _finite_float(token: str) -> float:
+    """A JSON number or constant (``NaN``, ``Infinity``, ``-Infinity``) as a
+    float; SchemaError unless it is finite."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise SchemaError(f"non-finite number {token} in model document")
+    return value
+
+
 def load_model(path: str) -> FittedModel:
-    """Read a model document; invalid JSON or a malformed document raises SchemaError."""
+    """Read a model document; invalid JSON or a malformed document raises SchemaError.
+
+    ``save_model`` writes only finite numbers, so ``NaN``, ``Infinity``,
+    ``-Infinity`` and numbers that overflow a double are rejected too.
+    """
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"{path}: not a JSON model document: {exc}") from None
     return document_to_model(doc)

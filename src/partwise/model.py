@@ -4,8 +4,9 @@ Everything in this module is structural: values in, values out, no fitting
 and no search.  All containers are immutable after construction and safe to
 share across threads.
 
-A partition is computed from cut positions: ``partition_of_key`` compares
-``Dataset.rank`` with them.  Threshold values (``min <= t < max`` on their
+A partition is computed from cut positions: ``_region_index`` compares
+``Dataset.rank`` with them, and ``partition_grid`` builds the grid from the
+region indices and counts.  Threshold values (``min <= t < max`` on their
 predictor) enter through ``induce_partition``, which maps them to cut
 positions, and through ``assign_regions``, which places new rows.
 """
@@ -326,21 +327,18 @@ def induce_partition(data: Dataset, config: ChangePointConfig) -> PartitionGrid:
         (j, tuple(data.cut_of_threshold(j, t) for t in ts))
         for j, ts in config.breaks
     )
-    return partition_of_key(data, key, config)
-
-
-def partition_of_key(
-    data: Dataset, key: tuple, config: ChangePointConfig
-) -> PartitionGrid:
-    """The grid of ``config``, given its cut positions ``key``.
-
-    ``key`` holds ``(predictor, (cut positions...))`` pairs, ascending; rows
-    are assigned by comparing ``data.rank`` with the positions.
-    """
     region_of = _region_index(key, data.rank)
-    shape = tuple(len(ps) + 1 for _, ps in key)
+    region_counts = np.bincount(region_of, minlength=config.num_regions)
+    return partition_grid(config, region_of, region_counts)
+
+
+def partition_grid(
+    config: ChangePointConfig, region_of: np.ndarray, region_counts: np.ndarray
+) -> PartitionGrid:
+    """The grid of ``config``, given each row's region index and the count
+    of rows in each region."""
+    shape = tuple(len(ts) + 1 for _, ts in config.breaks)
     R = math.prod(shape)
-    region_counts = np.bincount(region_of, minlength=R)
     by_region = np.argsort(region_of, kind="stable")
     memberships = tuple(
         np.split(by_region, np.cumsum(region_counts)[:-1])

@@ -11,9 +11,11 @@ around a search solution and returns the best.
 
 ``ConfigScorer`` wraps partition induction + feature selection + MDL into a
 single memoized evaluation, keyed by cut positions, so search loops never
-score the same configuration twice.  It also owns the one feasibility rule
-of the search, every region holds at least P rows, memoized by key.
-Threshold values are built only for the configuration a key describes.
+score the same configuration twice.  Its ``score_key`` is also the one
+feasibility gate of the search: a key some region of which holds fewer than
+P rows scores None, decided in the same pass over the rows that would build
+its partition.  Threshold values are built only for the configuration a key
+describes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import RegionDesign, single_class_fit
+from .fitting import RegionDesign
 from .mdl import MdlBreakdown, SIGMA2_FLOOR, mdl_score
 from .model import (
     ChangePointConfig,
@@ -34,7 +36,7 @@ from .model import (
     RegionFit,
     TASK_REGRESSION,
     _region_index,
-    partition_of_key,
+    partition_grid,
 )
 
 EXHAUSTIVE_MASK_LIMIT = 15  # exhaustive 2^(P+1) enumeration up to this many columns
@@ -129,63 +131,65 @@ def _bounded_menu(design: RegionDesign, n_params: int) -> list:
         if s * half_log2n + bound > best + BOUND_MARGIN:
             passed[mask_int] = bound
             continue
-        beta, stat, stab = design.fit_mask(mask_int, cols, ix)
+        beta, stat, stab = design.fit_mask(cols, ix)
         passed[mask_int] = bound if stab else stat
         best = min(best, s * half_log2n + stat)
-        menu.append((s, bools, mask_int, stat, beta, stab))
+        menu.append((s, bools, stat, beta, stab))
     return menu
 
 
 def _region_menu(design: RegionDesign, n_params: int, exhaustive: bool):
     """Feasible (value-relevant) fits of one region for every candidate mask.
 
-    Returns a list of ``(s, lex, mask_int, fit_stat, beta, stabilized)``
-    sorted by (s, lex), which is exactly the tie-break order.  Logistic and
-    probit regions leave out masks that cannot win (``_bounded_menu``).
+    Returns a list of ``(s, lex, fit_stat, beta, stabilized)`` sorted by
+    (s, lex), which is exactly the tie-break order.  Logistic and probit
+    regions leave out masks that cannot win (``_bounded_menu``).  A
+    single-class region's menu is its one feasible mask, the intercept.
     """
     menu = []
-    if exhaustive and design.task != TASK_REGRESSION:
+    seen: set[tuple[int, ...]] = set()
+
+    def consider(bools):
+        if bools in seen:
+            return None
+        seen.add(bools)
+        cols = np.flatnonzero(np.array(bools, dtype=bool))
+        res = design.fit_mask(cols, np.ix_(cols, cols))
+        if res is None:
+            return None
+        beta, stat, stab = res
+        entry = (sum(bools), bools, stat, beta, stab)
+        menu.append(entry)
+        return entry
+
+    if design.single_class:
+        consider((1,) + (0,) * (n_params - 1))
+    elif exhaustive and design.task != TASK_REGRESSION:
         menu = _bounded_menu(design, n_params)
     elif exhaustive:
-        for mask_int, cols, s, bools, ix in _masks_for(n_params):
-            res = design.fit_mask(mask_int, cols, ix)
+        for _, cols, s, bools, ix in _masks_for(n_params):
+            res = design.fit_mask(cols, ix)
             if res is None:
                 continue
             beta, stat, stab = res
-            menu.append((s, bools, mask_int, stat, beta, stab))
+            menu.append((s, bools, stat, beta, stab))
     else:
         # Greedy bidirectional stepwise on fit_stat alone would ignore the
         # (s/2) log2 n_r cost, so step on the per-region MDL contribution.
         half_log2n = 0.5 * math.log2(design.n_r)
-        seen: set[tuple[int, ...]] = set()
-
-        def consider(bools):
-            if bools in seen:
-                return None
-            seen.add(bools)
-            cols = np.flatnonzero(np.array(bools, dtype=bool))
-            mask_int = sum(1 << i for i, b in enumerate(bools) if b)
-            res = design.fit_mask(mask_int, cols, np.ix_(cols, cols))
-            if res is None:
-                return None
-            beta, stat, stab = res
-            entry = (sum(bools), bools, mask_int, stat, beta, stab)
-            menu.append(entry)
-            return entry
-
         current = tuple([1] * n_params)
         entry = consider(current)
         if entry is None:
             current = tuple([0] * n_params)
             entry = consider(current)
         while True:
-            value = entry[0] * half_log2n + entry[3]
+            value = entry[0] * half_log2n + entry[2]
             best = None
             for cand in _stepwise_candidates(current):
                 e = consider(cand)
                 if e is None:
                     continue
-                v = e[0] * half_log2n + e[3]
+                v = e[0] * half_log2n + e[2]
                 if v < value and (best is None or v < best[0]):
                     best = (v, cand, e)
             if best is None:
@@ -212,38 +216,24 @@ def select_features(
     Stops after the first cycle with no change.
 
     ``region_cache`` (keyed by region membership) lets callers reuse the
-    per-mask fit menus across configurations that share regions.
+    per-mask fit menus across configurations that share regions.  A
+    single-class region's menu is its one intercept fit, so it never moves.
     """
     n_params = data.P + 1
     exhaustive = n_params <= EXHAUSTIVE_MASK_LIMIT
+    if region_cache is None:
+        region_cache = {}
 
-    # Degenerate single-class regions have one canonical fit.
-    fixed: dict[int, RegionFit] = {}
-    menus: dict[int, list] = {}
-    half_log2n: dict[int, float] = {}
-    for r, rows in enumerate(grid.memberships):
-        half_log2n[r] = 0.5 * math.log2(rows.size)
-        ck = rows.tobytes() if region_cache is not None else None
-        hit = region_cache.get(ck) if ck is not None else None
-        if hit is None:
-            design = RegionDesign(data, rows, task)
-            if design.single_class:
-                b0, nll = single_class_fit(task, design.y)
-                intercept = np.zeros(n_params, dtype=bool)
-                intercept[0] = True
-                fit = RegionFit(intercept, np.array([b0]), nll, stabilized=True)
-                hit = ("fixed", fit)
-            else:
-                menu = _region_menu(design, n_params, exhaustive)
-                if not menu:
-                    raise RuntimeError("no feasible mask for a region")
-                hit = ("menu", menu)
-            if ck is not None:
-                region_cache[ck] = hit
-        if hit[0] == "fixed":
-            fixed[r] = hit[1]
-        else:
-            menus[r] = hit[1]
+    menus = []
+    half_log2n = []
+    for rows in grid.memberships:
+        half_log2n.append(0.5 * math.log2(rows.size))
+        ck = rows.tobytes()
+        menu = region_cache.get(ck)
+        if menu is None:
+            menu = _region_menu(RegionDesign(data, rows, task), n_params, exhaustive)
+            region_cache[ck] = menu
+        menus.append(menu)
 
     def pick(r, stats):
         """Best menu entry for region r given the other regions' stats."""
@@ -254,7 +244,7 @@ def select_features(
             best = None
             best_val = np.inf
             for entry in menu:
-                s, _, _, stat, _, _ = entry
+                s, _, stat, _, _ = entry
                 sigma2 = max((other + stat) / n, SIGMA2_FLOOR)
                 val = s * half_log2n[r] + 0.5 * n * math.log(sigma2)
                 if val < best_val:
@@ -264,7 +254,7 @@ def select_features(
         best = None
         best_val = np.inf
         for entry in menu:
-            s, _, _, stat, _, _ = entry
+            s, _, stat, _, _ = entry
             val = s * half_log2n[r] + stat
             if val < best_val:
                 best_val = val
@@ -272,37 +262,24 @@ def select_features(
         return best
 
     R = grid.R
-    chosen: list = [None] * R
-    stats = [0.0] * R
-    for r in range(R):
-        if r in fixed:
-            stats[r] = fixed[r].fit_stat
-        else:
-            full_entry = max(menus[r], key=lambda e: e[0])
-            chosen[r] = full_entry
-            stats[r] = full_entry[3]
+    chosen = [max(menu, key=lambda e: e[0]) for menu in menus]
+    stats = [entry[2] for entry in chosen]
 
     for _ in range(MAX_CYCLES):
         changed = False
         for r in range(R):
-            if r in fixed:
-                continue
             entry = pick(r, stats)
             if entry is not chosen[r]:
                 changed = True
                 chosen[r] = entry
-                stats[r] = entry[3]
+                stats[r] = entry[2]
         if not changed:
             break
 
-    fits = []
-    for r in range(R):
-        if r in fixed:
-            fits.append(fixed[r])
-        else:
-            s, bools, mask_int, stat, beta, stab = chosen[r]
-            mask = np.array(bools, dtype=bool)
-            fits.append(RegionFit(mask, beta, stat, stabilized=stab))
+    fits = [
+        RegionFit(np.array(bools, dtype=bool), beta, stat, stabilized=stab)
+        for _, bools, stat, beta, stab in chosen
+    ]
     breakdown = mdl_score(data, grid, fits, task)
     return SelectionResult(fits=fits, breakdown=breakdown)
 
@@ -325,16 +302,17 @@ class ConfigScorer:
 
     Keys are tuples of ``(predictor, (cut positions...))`` pairs, ascending.
     Scoring the same key twice returns the cached result, which keeps the
-    swarm search cheap once it concentrates.  Feasibility is memoized by key
-    as well.
+    swarm search cheap once it concentrates.  ``score_key`` is also the
+    search's one feasibility gate: an infeasible key scores None, and that
+    answer is memoized too.  ``evaluations`` counts the feasible keys scored.
     """
 
     def __init__(self, data: Dataset, task: str):
         data.validate_task(task)
         self.data = data
         self.task = task
-        self._cache: dict[tuple, ScoredConfig] = {}
-        self._feasible: dict[tuple, bool] = {}
+        self.evaluations = 0
+        self._cache: dict[tuple, ScoredConfig | None] = {}
         self._region_cache: dict = {}
 
     # -- key plumbing ------------------------------------------------------
@@ -350,39 +328,34 @@ class ConfigScorer:
             {j: [self.data.midpoint(j, p) for p in ps] for j, ps in key}
         )
 
-    def feasible(self, key: tuple) -> bool:
-        """Every region the key induces holds at least P observations."""
-        ok = self._feasible.get(key)
-        if ok is None:
-            R = math.prod(len(ps) + 1 for _, ps in key)
-            counts = np.bincount(_region_index(key, self.data.rank), minlength=R)
-            ok = int(counts.min()) >= self.data.P
-            self._feasible[key] = ok
-        return ok
-
     # -- scoring -----------------------------------------------------------
 
-    def score_key(self, key: tuple) -> ScoredConfig:
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        config = self.config_of_key(key)
-        grid = partition_of_key(self.data, key, config)
-        if int(grid.region_counts.min()) < 1:
-            raise InvalidConfigError("configuration induces an empty region")
-        selection = select_features(
-            self.data, self.task, grid, region_cache=self._region_cache
-        )
-        scored = ScoredConfig(key=key, config=config, selection=selection)
+    def score_key(self, key: tuple) -> ScoredConfig | None:
+        """The key's feature-selected score, or None when it is infeasible:
+        some region it induces holds fewer than P observations.
+
+        Rows are assigned to regions once per distinct key, and a rejected
+        key builds nothing more.
+        """
+        if key in self._cache:
+            return self._cache[key]
+        region_of = _region_index(key, self.data.rank)
+        R = math.prod(len(ps) + 1 for _, ps in key)
+        region_counts = np.bincount(region_of, minlength=R)
+        scored = None
+        if int(region_counts.min()) >= self.data.P:
+            config = self.config_of_key(key)
+            grid = partition_grid(config, region_of, region_counts)
+            selection = select_features(
+                self.data, self.task, grid, region_cache=self._region_cache
+            )
+            scored = ScoredConfig(key=key, config=config, selection=selection)
+            self.evaluations += 1
         self._cache[key] = scored
         return scored
 
-    def score_config(self, config: ChangePointConfig) -> ScoredConfig:
+    def score_config(self, config: ChangePointConfig) -> ScoredConfig | None:
         return self.score_key(self.key_of_config(config))
-
-    @property
-    def evaluations(self) -> int:
-        return len(self._cache)
 
 
 def final_adjust(
@@ -391,18 +364,17 @@ def final_adjust(
     config: ChangePointConfig,
     shift_radius: int = 3,
     scorer: ConfigScorer | None = None,
-    subset_cap: int = SUBSET_CAP,
 ) -> ScoredConfig:
     """Search subsets and small shifts of ``config``'s change points.
 
     Every subset of the change points is evaluated (all ``2^m`` subsets up
-    to ``subset_cap`` points, otherwise the full set plus single-drop
+    to ``SUBSET_CAP`` points, otherwise the full set plus single-drop
     subsets).  Around each subset, each retained threshold is additionally
     shifted one at a time by ``+-1..shift_radius`` order-statistic positions.
-    Candidates work on cut positions, and those ``scorer.feasible`` rejects
-    are skipped.  The feature-selected MDL minimizer is returned; the
-    incumbent is scored first, so the result never scores worse than the
-    input.
+    Candidates work on cut positions, and the infeasible ones (``score_key``
+    returns None) are skipped.  The feature-selected MDL minimizer is
+    returned; the incumbent, which must be feasible, is scored first, so the
+    result never scores worse than the input.
     """
     if scorer is None:
         scorer = ConfigScorer(data, task)
@@ -410,11 +382,13 @@ def final_adjust(
     m = len(pairs)
     incumbent_key = _key_from_pairs(pairs)
     best = scorer.score_key(incumbent_key)
+    if best is None:
+        raise InvalidConfigError("a region holds fewer than P observations")
 
     if m == 0:
         return best
 
-    if m <= subset_cap:
+    if m <= SUBSET_CAP:
         keep_sets = [
             [i for i in range(m) if (mask >> i) & 1] for mask in range(1 << m)
         ]
@@ -426,10 +400,8 @@ def final_adjust(
 
     def try_key(key):
         nonlocal best
-        if not scorer.feasible(key):
-            return
         sc = scorer.score_key(key)
-        if sc.total < best.total:
+        if sc is not None and sc.total < best.total:
             best = sc
 
     for keep in keep_sets:

@@ -109,7 +109,7 @@ def test_criterion_2_exhaustive_search_oracle():
         for r in range(len(pairs) + 1):
             for sub in itertools.combinations(pairs, r):
                 key = _key_from_pairs(list(sub))
-                if scorer.feasible(key):
+                if scorer.score_key(key) is not None:
                     best = min(best, scorer.score_key(key).total)
         res = run_bpso(data, "regression", cands, BpsoParams(), seed=seed, scorer=scorer)
         adj = final_adjust(data, "regression", res.config, scorer=scorer)
@@ -280,7 +280,7 @@ def test_criterion_7_property_suites():
         cfg = random_config(d, rng, max_breaks=2, max_cuts=1)
         scorer = ConfigScorer(d, "regression")
         key = scorer.key_of_config(cfg)
-        if not scorer.feasible(key):
+        if scorer.score_key(key) is None:
             continue
         grid = induce_partition(d, cfg)
         sel = select_features(d, "regression", grid)

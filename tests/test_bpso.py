@@ -7,6 +7,7 @@ import pytest
 from partwise import (
     BpsoParams,
     Dataset,
+    induce_partition,
     init_swarm,
     run_bpso,
     update_particle_bit,
@@ -133,7 +134,7 @@ class TestInitSwarm:
         scorer = ConfigScorer(d, "regression")
         swarm = init_swarm(d, cands, BpsoParams(swarm_size=8), seed=3, scorer=scorer)
         for p in swarm.particles:
-            assert scorer.feasible(p.key)
+            assert scorer.score_key(p.key) is not None
 
 
 class TestMutate:
@@ -162,7 +163,7 @@ class TestMutate:
             bpso_mod._refresh_gbest(swarm)
             assert swarm.gbest.score <= g0 + 1e-12
             for p in swarm.particles:
-                assert scorer.feasible(p.key)
+                assert scorer.score_key(p.key) is not None
 
 
 class TestRunBpso:
@@ -202,7 +203,7 @@ class TestRunBpso:
         scorer = ConfigScorer(d, "regression")
         full_key = _key_from_pairs(_candidate_pairs(d, cands))
         res = run_bpso(d, "regression", cands, BpsoParams(swarm_size=8), seed=2, scorer=scorer)
-        if scorer.feasible(full_key):
+        if scorer.score_key(full_key) is not None:
             assert res.score <= scorer.score_key(full_key).total + 1e-12
 
     def test_every_scored_particle_satisfies_constraint(self):
@@ -210,9 +211,10 @@ class TestRunBpso:
         cands = {0: [d.midpoint(0, int(c)) for c in d.cut_positions(0)[[2, 9, 30]]]}
         scorer = ConfigScorer(d, "regression")
         res = run_bpso(d, "regression", cands, BpsoParams(swarm_size=10, max_iter=15), seed=9, scorer=scorer)
-        for key in scorer._cache:
-            assert scorer.feasible(key)
-        assert scorer.feasible(res.key)
+        for key, scored in scorer._cache.items():
+            if scored is not None:
+                assert induce_partition(d, scored.config).region_counts.min() >= d.P
+        assert scorer.score_key(res.key) is not None
 
     def test_tiny_exhaustive_oracle_smoke(self):
         # full 100-instance version lives in the acceptance suite
@@ -235,7 +237,7 @@ class TestRunBpso:
             for r in range(len(pairs) + 1):
                 for sub in itertools.combinations(pairs, r):
                     key = _key_from_pairs(list(sub))
-                    if scorer.feasible(key):
+                    if scorer.score_key(key) is not None:
                         best = min(best, scorer.score_key(key).total)
             res = run_bpso(d, "regression", cands, BpsoParams(), seed=seed, scorer=scorer)
             adj = final_adjust(d, "regression", res.config, scorer=scorer)

@@ -147,7 +147,7 @@ class TestLogistic:
         assert design.single_class
         for mask_int in range(1 << (d.P + 1)):
             cols = np.array([i for i in range(d.P + 1) if mask_int >> i & 1], dtype=np.int64)
-            res = design.fit_mask(mask_int, cols, np.ix_(cols, cols))
+            res = design.fit_mask(cols, np.ix_(cols, cols))
             if mask_int == 1:
                 assert res[0].size == 1 and res[2]
             else:

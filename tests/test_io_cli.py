@@ -157,6 +157,19 @@ def _rename_threshold_column(doc):
     doc["thresholds"]["nope"] = doc["thresholds"].pop(name)
 
 
+def _nan_first_betas(doc):
+    for rf in doc["region_fits"]:
+        rf["beta"][:1] = [float("nan")]
+
+
+def _infinite_last_threshold(doc):
+    next(iter(doc["thresholds"].values()))[-1] = float("inf")
+
+
+def _infinite_fit_stat(doc):
+    doc["region_fits"][0]["fit_stat"] = float("-inf")
+
+
 CORRUPTIONS = {
     "truncated_json": lambda text: text[: len(text) // 2],
     "not_json": lambda text: "not a model\n",
@@ -173,6 +186,15 @@ CORRUPTIONS = {
     "region_extra": _edit(lambda d: d["region_fits"].append(d["region_fits"][0])),
     "unknown_column": _edit(_rename_threshold_column),
     "unknown_task": _edit(lambda d: d.update(task="ranking")),
+    "nan_beta": _edit(_nan_first_betas),
+    "infinite_threshold": _edit(_infinite_last_threshold),
+    "negative_infinite_fit_stat": _edit(_infinite_fit_stat),
+    "overflowing_fit_stat": lambda text: _edit(_infinite_fit_stat)(text).replace(
+        "-Infinity", "-1e999"
+    ),
+    "overflowing_integer_fit_stat": lambda text: _edit(_infinite_fit_stat)(text).replace(
+        "-Infinity", "1" + "0" * 400
+    ),
 }
 
 
@@ -205,6 +227,12 @@ OUT_OF_RANGE = {
     "simulate_n": ["simulate", "--setting", "reg1", "--n", "5", "--trials", "1"],
     "simulate_trials_0": ["simulate", "--setting", "reg1", "--trials", "0"],
     "simulate_trials_negative": ["simulate", "--setting", "reg1", "--trials", "-2"],
+    "omega_nan": ["fit", "--omega", "nan"],
+    "a_nan": ["fit", "--a", "nan"],
+    "c1_inf": ["fit", "--c1", "inf"],
+    "c2_negative_inf": ["fit", "--c2=-inf"],
+    "max_iter_0": ["fit", "--max-iter", "0"],
+    "max_iter_negative": ["fit", "--max-iter", "-4"],
 }
 
 

@@ -123,5 +123,51 @@ def test_key_path_matches_threshold_path(seed):
             assert np.array_equal(rows, np.flatnonzero(ref == r))
 
         fresh = bool(ref_counts.min() >= data.P)
-        assert scorer.feasible(key) == fresh
-        assert scorer.feasible(key) == fresh
+        assert (scorer.score_key(key) is not None) == fresh
+        assert (scorer.score_key(key) is not None) == fresh
+
+
+def test_one_region_pass_per_distinct_key(monkeypatch):
+    """A fit assigns rows to regions once for each distinct key it asks
+    about, feasible or not; asking again costs no pass, and ``evaluations``
+    counts the feasible keys."""
+    import partwise.model as model_mod
+    import partwise.refine as refine_mod
+    from partwise import BpsoParams, FitParams, fit_model
+
+    passes = []
+    real_index = model_mod._region_index
+
+    def counted_index(breaks, columns):
+        passes.append(breaks)
+        return real_index(breaks, columns)
+
+    asked, scorers = [], []
+    real_score = ConfigScorer.score_key
+
+    def recorded_score(self, key):
+        asked.append(key)
+        if self not in scorers:
+            scorers.append(self)
+        return real_score(self, key)
+
+    monkeypatch.setattr(model_mod, "_region_index", counted_index)
+    monkeypatch.setattr(refine_mod, "_region_index", counted_index)
+    monkeypatch.setattr(ConfigScorer, "score_key", recorded_score)
+
+    rng = np.random.default_rng(23)
+    X = rng.uniform(0.0, 1.0, (60, 3))
+    y = np.where(X[:, 0] <= 0.5, 0.0, 3.0) + X[:, 1] + rng.normal(0.0, 0.3, 60)
+    params = FitParams(seed=1, swarm=BpsoParams(swarm_size=20, max_iter=10))
+    outcome = fit_model(Dataset(X, y), "regression", params)
+
+    (scorer,) = scorers
+    assert sorted(passes) == sorted(set(asked))
+    assert set(asked) == set(scorer._cache)
+    rejected = [key for key, scored in scorer._cache.items() if scored is None]
+    assert rejected
+    assert any(asked.count(key) > 1 for key in rejected)
+    assert outcome.evaluations == scorer.evaluations == len(scorer._cache) - len(rejected)
+    before = len(passes)
+    assert scorer.score_key(rejected[0]) is None
+    assert len(passes) == before

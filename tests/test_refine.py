@@ -34,8 +34,8 @@ def exhaustive_selection_oracle(data, grid, task="regression"):
     menus = []
     for d_r in designs:
         entries = []
-        for mask_int, cols, s, bools, ix in _masks_for(data.P + 1):
-            res = d_r.fit_mask(mask_int, cols, ix)
+        for _, cols, s, bools, ix in _masks_for(data.P + 1):
+            res = d_r.fit_mask(cols, ix)
             if res is not None:
                 entries.append((s, bools, res[1]))
         menus.append(entries)
@@ -167,7 +167,7 @@ class TestFinalAdjust:
             cfg = random_config(d, rng, max_breaks=2, max_cuts=1)
             scorer = ConfigScorer(d, "regression")
             key = scorer.key_of_config(cfg)
-            if not scorer.feasible(key):
+            if scorer.score_key(key) is None:
                 continue
             before = scorer.score_key(key).total
             out = final_adjust(d, "regression", cfg, scorer=scorer)
@@ -206,10 +206,10 @@ def unbounded_selection(data, grid, task):
             continue
         half_log2n = 0.5 * math.log2(rows.size)
         best, best_val = None, np.inf
-        for mask_int, cols, s, bools, ix in sorted(
+        for _, cols, s, bools, ix in sorted(
             _masks_for(n_params), key=lambda e: (e[2], e[3])
         ):
-            beta, stat, stab = design.fit_mask(mask_int, cols, ix)
+            beta, stat, stab = design.fit_mask(cols, ix)
             if s * half_log2n + stat < best_val:
                 best_val = s * half_log2n + stat
                 mask = np.array(bools, dtype=bool)
@@ -287,10 +287,12 @@ class TestBoundedMenu:
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-t))).astype(float)
         d = Dataset(X, y)
         design = RegionDesign(d, np.arange(n), task)
+        fitted = []
+        fit_mask = design.fit_mask
+        design.fit_mask = lambda cols, ix: fitted.append(cols) or fit_mask(cols, ix)
         menu = _region_menu(design, d.P + 1, exhaustive=True)
-        fitted = len(design._cache)
-        assert len(menu) == fitted < 2 ** (d.P + 1)
-        best = min(menu, key=lambda e: e[0] * 0.5 * math.log2(n) + e[3])
+        assert len(menu) == len(fitted) < 2 ** (d.P + 1)
+        best = min(menu, key=lambda e: e[0] * 0.5 * math.log2(n) + e[2])
         assert best[1][1] == 1  # the strong predictor is kept
 
     def test_regression_menu_stays_full(self):
@@ -298,6 +300,18 @@ class TestBoundedMenu:
         design = RegionDesign(d, np.arange(d.n), "regression")
         menu = _region_menu(design, d.P + 1, exhaustive=True)
         assert len(menu) == 2 ** (d.P + 1)
+
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    @pytest.mark.parametrize("task", ["logistic", "probit"])
+    def test_single_class_menu_is_the_intercept_fit(self, task, exhaustive):
+        rng = np.random.default_rng(12)
+        d = Dataset(rng.normal(0, 1, (30, 3)), np.ones(30))
+        design = RegionDesign(d, np.arange(d.n), task)
+        menu = _region_menu(design, d.P + 1, exhaustive)
+        b0, nll = single_class_fit(task, design.y)
+        assert [(s, bools, stat, beta.tolist(), stab) for s, bools, stat, beta, stab in menu] == [
+            (1, (1, 0, 0, 0), nll, [b0], True)
+        ]
 
 
 class _StubDesign:
@@ -308,13 +322,15 @@ class _StubDesign:
 
     task = "logistic"
     n_r = 4
+    single_class = False
 
     def __init__(self, stats, stabilized):
         self.stats = stats
         self.stabilized = stabilized
         self.fitted = []
 
-    def fit_mask(self, mask_int, cols, ix):
+    def fit_mask(self, cols, ix):
+        mask_int = sum(1 << int(i) for i in cols)
         self.fitted.append(mask_int)
         return np.zeros(len(cols)), self.stats[mask_int], mask_int in self.stabilized
 
@@ -323,8 +339,8 @@ def _walk(stats, stabilized=()):
     """Masks fitted by the walk over (intercept, x1), and the winner."""
     design = _StubDesign(stats, stabilized)
     menu = _region_menu(design, 2, exhaustive=True)
-    chosen = min(menu, key=lambda e: (e[0] + e[3], e[0], e[1]))
-    return sorted(design.fitted), chosen[2]
+    chosen = min(menu, key=lambda e: (e[0] + e[2], e[0], e[1]))
+    return sorted(design.fitted), sum(b << i for i, b in enumerate(chosen[1]))
 
 
 class TestBoundRule:

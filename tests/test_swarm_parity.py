@@ -35,7 +35,7 @@ def key_of_bits(bits):
 def repair(bits, scorer, rng):
     while True:
         key = key_of_bits(bits)
-        if scorer.feasible(key):
+        if scorer.score_key(key) is not None:
             return key
         set_pos = np.argwhere(bits)
         drop = set_pos[int(rng.integers(set_pos.shape[0]))]
@@ -250,7 +250,7 @@ def test_cases_exercise_repair_and_revisited_positions():
     for seed in range(12):
         data, candidates, params = parity_case(seed)
         scorer = ConfigScorer(data, "regression")
-        repaired += not scorer.feasible(_key_from_pairs(_candidate_pairs(data, candidates)))
+        repaired += scorer.score_key(_key_from_pairs(_candidate_pairs(data, candidates))) is None
         sparse, _ = run_both(data, candidates, params, seed, iterations=10)
         flat = lambda key: {j * data.n + p for j, ps in key for p in ps}
         gb = flat(sparse.gbest.key)

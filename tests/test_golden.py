@@ -1,7 +1,10 @@
-"""Frozen end-to-end results of small seeded fits.
+"""Frozen end-to-end results of seeded fits.
 
-Each case draws n=150 rows from a bundled design with ``trial_rng(11, 0)``
-and fits it with ``FitParams(seed=3)``.  The thresholds, region masks, MDL
+Each case draws rows from a bundled design with ``trial_rng(11, 0)`` and
+fits them with ``FitParams(seed=3)``: n=150 rows, or the third element of
+the case's key.  The n=4,000 case runs the per-row passes (region indices,
+memberships, designs, region keys and the scan's prefix sums) at a size
+where their vectorized forms matter.  The thresholds, region masks, MDL
 total and search counters below were recorded from the implementation; a
 change to the fitting kernels, the criterion or the swarm that alters any
 of them fails here.
@@ -41,13 +44,23 @@ GOLDEN = {
         evaluations=197,
         bpso_iterations=6,
     ),
+    ("reg1", None, 4000): dict(
+        thresholds={0: [4.009755932230739], 2: [8.499652793586103]},
+        masks=[[0, 1, 1, 1, 1]] * 4,
+        total=89.4247032995327,
+        evaluations=220,
+        bpso_iterations=9,
+    ),
 }
 
 
-@pytest.mark.parametrize("setting,link", list(GOLDEN), ids=lambda v: str(v))
-def test_seeded_fit_is_frozen(setting, link):
-    want = GOLDEN[(setting, link)]
-    data = generate(SETTINGS[setting], 150, trial_rng(11, 0), link=link)
+@pytest.mark.parametrize(
+    "case", list(GOLDEN), ids=lambda case: "-".join(map(str, case))
+)
+def test_seeded_fit_is_frozen(case):
+    want = GOLDEN[case]
+    setting, link, n = (*case, 150)[:3]
+    data = generate(SETTINGS[setting], n, trial_rng(11, 0), link=link)
     out = fit_model(data, link or "regression", FitParams(seed=3))
     model = out.model
     assert {j: list(ts) for j, ts in model.config.breaks} == want["thresholds"]

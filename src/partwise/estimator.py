@@ -18,6 +18,7 @@ from .model import (
     CLASSIFICATION_TASKS,
     Dataset,
     FittedModel,
+    InputError,
     SchemaError,
     TASK_REGRESSION,
     assign_regions,
@@ -58,10 +59,19 @@ def fit_model(
     Runs ``scan_candidates -> run_bpso -> final_adjust`` (feature selection
     is part of every configuration's score).  When no candidate survives
     the scan the model degenerates to the no-break configuration.
+
+    Raises InputError when the table has fewer rows than predictors: every
+    region must hold at least P rows, so no configuration is feasible, not
+    even the no-break one.
     """
     if params is None:
         params = FitParams()
     data.validate_task(task)
+    if data.n < data.P:
+        raise InputError(
+            f"{data.n} rows for {data.P} predictors: fitting needs at least "
+            "as many rows as predictors"
+        )
     min_segment = (
         default_min_segment(data.P)
         if params.min_segment is None

@@ -37,11 +37,11 @@ DEGENERATE_CLIP = 1e-6
 
 
 def full_design(data: Dataset, rows: np.ndarray) -> np.ndarray:
-    """Design matrix ``(1, x_1, .., x_P)`` for the given rows."""
-    D = np.empty((rows.size, data.P + 1))
-    D[:, 0] = 1.0
-    D[:, 1:] = data.X[rows]
-    return D
+    """Design matrix ``(1, x_1, .., x_P)`` for the given rows.
+
+    A C-contiguous copy gathered from ``data.design``.
+    """
+    return np.take(data.design, rows, axis=0)
 
 
 def _cholesky(A: np.ndarray, scale: float = 0.0) -> tuple[np.ndarray | None, float]:

@@ -5,8 +5,10 @@ and no search.  All containers are immutable after construction and safe to
 share across threads.
 
 A partition is computed from cut positions: ``_region_index`` compares
-``Dataset.rank`` with them, and ``partition_grid`` builds the grid from the
-region indices and counts.  Threshold values (``min <= t < max`` on their
+``Dataset.rank`` with them, one comparison of every row per cut, and
+``partition_grid`` builds the grid from the region indices and counts,
+with one stable sort of the indices narrowed to the smallest unsigned type
+that holds them.  Threshold values (``min <= t < max`` on their
 predictor) enter through ``induce_partition``, which maps them to cut
 positions, and through ``assign_regions``, which places new rows.
 """
@@ -69,8 +71,10 @@ class Dataset:
 
     Notes
     -----
-    Design vectors implicitly carry a leading 1 for the intercept, so masks
-    and coefficient vectors have length ``P + 1`` with index 0 = intercept.
+    Design vectors carry a leading 1 for the intercept, so masks and
+    coefficient vectors have length ``P + 1`` with index 0 = intercept.
+    ``design`` is that read-only ``(n, P + 1)`` matrix ``(1, X)``, built
+    once (n * (P + 1) doubles), from which region designs are gathered.
 
     Thresholds are real values on the predictor scale.  The representable
     split points of predictor ``j`` are the midpoints between consecutive
@@ -108,6 +112,10 @@ class Dataset:
                 )
         self.X = _readonly(X)
         self.y = _readonly(y)
+        design = np.empty((n, P + 1))
+        design[:, 0] = 1.0
+        design[:, 1:] = X
+        self.design = _readonly(design)
         self.n = n
         self.P = P
         self.column_names = column_names
@@ -261,7 +269,12 @@ def _region_index(breaks, columns: np.ndarray) -> np.ndarray:
     idx = np.zeros(columns.shape[1], dtype=np.int64)
     stride = 1
     for j, ts in breaks:
-        idx += stride * np.searchsorted(ts, columns[j], side="left")
+        # Compare and count: a segment index is the number of breaks below
+        # the entry.  With a few breaks per predictor this is several times
+        # cheaper than a searchsorted of every row.
+        col = columns[j]
+        for t in ts:
+            idx += stride * (col > t)
         stride *= len(ts) + 1
     return idx
 
@@ -339,7 +352,11 @@ def partition_grid(
     of rows in each region."""
     shape = tuple(len(ts) + 1 for _, ts in config.breaks)
     R = math.prod(shape)
-    by_region = np.argsort(region_of, kind="stable")
+    # The stable sort radix-sorts 8- and 16-bit keys; the permutation is the
+    # one int64 keys give, so each membership stays in ascending row order.
+    by_region = np.argsort(
+        region_of.astype(np.min_scalar_type(R - 1)), kind="stable"
+    )
     memberships = tuple(
         np.split(by_region, np.cumsum(region_counts)[:-1])
     )

@@ -11,7 +11,8 @@ around a search solution and returns the best.
 
 ``ConfigScorer`` wraps partition induction + feature selection + MDL into a
 single memoized evaluation, keyed by cut positions, so search loops never
-score the same configuration twice.  Its ``score_key`` is also the one
+score the same configuration twice.  Region mask menus are memoized too,
+keyed by the packed bitmap of the region's rows.  Its ``score_key`` is also the one
 feasibility gate of the search: a key some region of which holds fewer than
 P rows scores None, decided in the same pass over the rows that would build
 its partition.  Threshold values are built only for the configuration a key
@@ -215,8 +216,9 @@ def select_features(
     the same result.  Beyond that it is greedy bidirectional stepwise.
     Stops after the first cycle with no change.
 
-    ``region_cache`` (keyed by region membership) lets callers reuse the
-    per-mask fit menus across configurations that share regions.  A
+    ``region_cache`` lets callers reuse the per-mask fit menus across
+    configurations that share regions.  It is keyed by region membership:
+    the packed bitmap of the region's rows, n/8 bytes, which is exact.  A
     single-class region's menu is its one intercept fit, so it never moves.
     """
     n_params = data.P + 1
@@ -226,9 +228,9 @@ def select_features(
 
     menus = []
     half_log2n = []
-    for rows in grid.memberships:
+    for r, rows in enumerate(grid.memberships):
         half_log2n.append(0.5 * math.log2(rows.size))
-        ck = rows.tobytes()
+        ck = np.packbits(grid.region_of == r).tobytes()
         menu = region_cache.get(ck)
         if menu is None:
             menu = _region_menu(RegionDesign(data, rows, task), n_params, exhaustive)

@@ -8,9 +8,12 @@ right segment of every cut together (one stacked solve of prefix-Gram
 differences for regression; cached, warm-started Newton fits for the binary
 links) and evaluates the criterion of all cuts as vectors, with the same
 floating-point operations in the same order as scoring one cut at a time, so
-the first minimizer is the one a cut-by-cut loop would pick.  The scan stops
-at the per-predictor cap, when no position satisfies the minimum-segment
-constraint, or when the best addition no longer lowers the criterion.
+the first minimizer is the one a cut-by-cut loop would pick.  A regression
+scan keeps the RSS of every prefix segment ``[0, b)`` and suffix segment
+``[b, n)`` it solves, so later steps solve only interior segments.  The
+scan stops at the per-predictor cap, when no position satisfies the
+minimum-segment constraint, or when the best addition no longer lowers the
+criterion.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import numpy as np
 
 from .fitting import _newton_glm, full_design, single_class_fit
-from .mdl import residual_code_regression
+from .mdl import SIGMA2_FLOOR
 from .model import Dataset, InputError, TASK_REGRESSION
 
 DEFAULT_MAX_PER_PREDICTOR = 3
@@ -50,10 +53,19 @@ def _solve_each(G: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 class _RegressionSegments:
-    """Full-mask RSS of sorted-order segments via prefix Gram sums."""
+    """Full-mask RSS of sorted-order segments via prefix Gram sums.
+
+    The RSS of every prefix segment ``[0, b)`` and suffix segment ``[b, n)``
+    is kept once solved.  Each greedy step after the first meets again the
+    prefixes and suffixes the first step solved, so only its interior
+    segments are solved.
+    """
 
     def __init__(self, data: Dataset, j: int):
         rows = data.order[j]
+        self._n = data.n
+        self._prefix = np.full(data.n + 1, np.nan)  # RSS of [0, b), by b
+        self._suffix = np.full(data.n + 1, np.nan)  # RSS of [b, n), by b
         D = full_design(data, rows)
         y = data.y[rows]
         k = D.shape[1]
@@ -82,8 +94,25 @@ class _RegressionSegments:
         return np.maximum(yy - fitted, 0.0)
 
     def stats(self, lo, hi, parent_lo, parent_hi) -> np.ndarray:
-        """Segment statistics; least squares needs no parent fit."""
-        return self.stat(lo, hi)
+        """Segment statistics; least squares needs no parent fit.
+
+        Interior segments, and prefix and suffix segments not seen before,
+        go to ``stat``; kept values are read back.  Each system of a
+        stacked solve gets the arithmetic of a solve of its own, so a kept
+        value equals a fresh one bit for bit.
+        """
+        at_start, at_end = lo == 0, hi == self._n
+        out = np.full(len(lo), np.nan)
+        out[at_start] = self._prefix[hi[at_start]]
+        out[at_end] = self._suffix[lo[at_end]]
+        new = np.flatnonzero(np.isnan(out))
+        if new.size:
+            fresh = self.stat(lo[new], hi[new])
+            out[new] = fresh
+            first, last = at_start[new], at_end[new]
+            self._prefix[hi[new][first]] = fresh[first]
+            self._suffix[lo[new][last]] = fresh[last]
+        return out
 
 
 class _BinarySegments:
@@ -148,9 +177,10 @@ def _one_predictor_mdl(
         region = region + (log2_regions + half_s_full * log2_counts[:, z])
         occupancy = occupancy + log2_counts[:, z]
     if task == TASK_REGRESSION:
-        residual = np.array(
-            [residual_code_regression(n, rss) for rss in total_stat.tolist()]
-        )
+        # residual_code_regression term by term.  math.log, not np.log: the
+        # two can differ in the last bit.
+        sigma2 = np.maximum(total_stat / n, SIGMA2_FLOOR)
+        residual = 0.5 * n * np.array(list(map(math.log, sigma2.tolist())))
     else:
         residual = total_stat
     if l == 0:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from partwise import Dataset, SchemaError, induce_partition, mdl_score
+from partwise import Dataset, InputError, SchemaError, induce_partition, mdl_score
 from partwise.estimator import FitParams, fit_model, predict, predict_labels
 from partwise.simulate import SETTINGS, generate
 
@@ -41,6 +41,23 @@ class TestFitModel:
             out = fit_model(data, "regression", FitParams(seed=0))
         assert out.model.config.B == 0
         assert out.candidates == {}
+
+    def test_fewer_rows_than_predictors_raises_input_error(self):
+        # No region can hold P rows, so not even the no-break model is
+        # feasible; the error comes before the scan.
+        rng = np.random.default_rng(10)
+        data = Dataset(rng.normal(size=(4, 6)), rng.normal(size=4))
+        with pytest.raises(InputError, match="4 rows for 6 predictors"):
+            fit_model(data, "regression", FitParams(seed=0))
+
+    def test_as_many_rows_as_predictors_fits(self):
+        rng = np.random.default_rng(11)
+        data = Dataset(rng.normal(size=(4, 4)), rng.normal(size=4))
+        with pytest.warns(UserWarning, match="no-break"):
+            out = fit_model(data, "regression", FitParams(seed=0))
+        assert out.model.config.B == 0
+        assert out.evaluations == 1
+        assert np.isfinite(out.model.mdl.total)
 
     def test_outcome_diagnostics(self):
         rng = np.random.default_rng(7)

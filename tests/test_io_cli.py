@@ -318,6 +318,18 @@ def test_failed_fit_leaves_out_as_it_was(existing, reg_csv, tmp_path, capsys, mo
         assert not out.exists()
 
 
+def test_fit_with_fewer_rows_than_predictors_exits_2(tmp_path, capsys):
+    data = tmp_path / "short.csv"
+    write_csv(data, ["x1", "x2", "x3", "y"], [[0.5, 1.0, 2.0, 3.0], [1.5, 0.0, 4.0, 1.0]])
+    out = tmp_path / "m.json"
+    code = main(FIT + ["--data", str(data), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: 2 rows for 3 predictors")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-4", "abc"])
 def test_bad_partwise_threads_exits_2(value, monkeypatch, capsys):
     monkeypatch.setenv("PARTWISE_THREADS", value)

@@ -12,11 +12,11 @@ around a search solution and returns the best.
 ``ConfigScorer`` wraps partition induction + feature selection + MDL into a
 single memoized evaluation, keyed by cut positions, so search loops never
 score the same configuration twice.  Region mask menus are memoized too,
-keyed by the packed bitmap of the region's rows.  Its ``score_key`` is also the one
-feasibility gate of the search: a key some region of which holds fewer than
-P rows scores None, decided in the same pass over the rows that would build
-its partition.  Threshold values are built only for the configuration a key
-describes.
+keyed by the packed bitmap of the region's rows.  Its ``score_key`` is also
+the one feasibility gate of the search: a key some region of which holds
+fewer than P rows scores None, decided in the same pass over the rows that
+would build its partition.  Threshold values are built only for the
+configuration a key describes.
 """
 
 from __future__ import annotations

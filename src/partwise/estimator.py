@@ -150,9 +150,7 @@ def predict(model: FittedModel, X) -> np.ndarray:
             f"expected {len(model.column_names)} predictor columns, "
             f"got shape {X.shape}"
         )
-    if not np.isfinite(X).all():
-        i, j = np.argwhere(~np.isfinite(X))[0]
-        raise SchemaError(f"non-finite predictor value at row {i}, column {j}")
+    # assign_regions rejects a non-finite value, naming its row and column.
     regions = assign_regions(model.config.as_dict(), X)
     out = np.empty(X.shape[0])
     for r, fit in enumerate(model.region_fits):
@@ -171,4 +169,9 @@ def predict_labels(model: FittedModel, X) -> np.ndarray:
     """0/1 labels at probability threshold 0.5 (0.5 maps to 1)."""
     if model.task not in CLASSIFICATION_TASKS:
         raise ValueError("labels are only defined for classification models")
-    return (predict(model, X) >= 0.5).astype(np.int64)
+    return probability_labels(predict(model, X))
+
+
+def probability_labels(probabilities: np.ndarray) -> np.ndarray:
+    """0/1 labels of success probabilities at threshold 0.5 (0.5 maps to 1)."""
+    return (probabilities >= 0.5).astype(np.int64)

@@ -8,8 +8,10 @@ byte identical.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -31,9 +33,15 @@ DOCUMENT_VERSION = "partwise-v1"
 def load_table(path: str, delim: str = ",") -> tuple[list[str], np.ndarray]:
     """Read a delimited text file with a header row into floats.
 
-    Non-numeric or non-finite cells raise InputError naming the file row
-    (the header is row 1) and the column; so does a delimiter that is not
-    one character.
+    A cell holds one number as ``float`` reads it, optionally quoted and
+    surrounded by spaces; blank lines are skipped.  The body is parsed by
+    numpy's C reader in one pass.  Only when that reader refuses it, finds no
+    rows or yields a non-finite value are the rows walked cell by cell: the
+    walk accepts the few spellings ``float`` takes and numpy does not (a
+    whitespace-only line, ``1_0``, non-ASCII digits), and a non-numeric or
+    non-finite cell raises InputError naming the file row (the header is row
+    1) and the column.  A delimiter that is not one character raises
+    InputError too.
     """
     if len(delim) != 1:
         raise InputError(f"delimiter must be one character, got {delim!r}")
@@ -46,34 +54,74 @@ def load_table(path: str, delim: str = ",") -> tuple[list[str], np.ndarray]:
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             raise InputError(f"{path}: duplicate column names in header")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
+        body = fh.read()
+    table = _parse_body(body, delim)
+    if (
+        table is None
+        or table.shape[0] == 0
+        or table.shape[1] != len(header)
+        or not np.isfinite(table).all()
+    ):
+        table = _walk_rows(path, header, body, delim)
+    return header, table
+
+
+def _parse_body(body: str, delim: str) -> np.ndarray | None:
+    """The body rows as one array from numpy's reader, or None if it refuses."""
+    # numpy strips the separators \x1c-\x1f around a number as whitespace,
+    # and ``float`` does not: such a body is left to the walk.
+    if any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # A header-only file is reported as "no data rows" by the walk.
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            return np.loadtxt(
+                io.StringIO(body, newline=""),
+                dtype=np.float64,
+                delimiter=delim,
+                comments=None,
+                quotechar='"',
+                ndmin=2,
+            )
+    except (ValueError, TypeError):
+        # TypeError: numpy refuses a delimiter such as '"' or a newline.
+        return None
+
+
+def _walk_rows(path: str, header: list[str], body: str, delim: str) -> np.ndarray:
+    """The body rows after the header, parsed cell by cell with ``float``."""
+    reader = csv.reader(io.StringIO(body, newline=""), delimiter=delim)
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise InputError(
+                f"{path}: row {lineno} has {len(row)} cells, "
+                f"expected {len(header)}"
+            )
+        vals = []
+        for name, cell in zip(header, row):
+            try:
+                v = float(cell)
+            except ValueError:
                 raise InputError(
-                    f"{path}: row {lineno} has {len(row)} cells, "
-                    f"expected {len(header)}"
+                    f"{path}: row {lineno}, column {name!r}: "
+                    f"non-numeric value {cell.strip()!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise InputError(
+                    f"{path}: row {lineno}, column {name!r}: "
+                    f"non-finite value {cell.strip()!r}"
                 )
-            vals = []
-            for name, cell in zip(header, row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise InputError(
-                        f"{path}: row {lineno}, column {name!r}: "
-                        f"non-numeric value {cell.strip()!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise InputError(
-                        f"{path}: row {lineno}, column {name!r}: "
-                        f"non-finite value {cell.strip()!r}"
-                    )
-                vals.append(v)
-            rows.append(vals)
+            vals.append(v)
+        rows.append(vals)
     if not rows:
         raise InputError(f"{path}: no data rows")
-    return header, np.asarray(rows, dtype=np.float64)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def split_response(

@@ -378,14 +378,23 @@ def assign_region(thresholds: Mapping[int, Sequence[float]], x) -> int:
     """Region index of a single point under a threshold set.
 
     Points beyond the training range fall into the outermost segment; a
-    value equal to a threshold belongs to the lower segment.
+    value equal to a threshold belongs to the lower segment.  A non-finite
+    coordinate raises SchemaError.
     """
     return int(assign_regions(thresholds, np.asarray(x)[None, :])[0])
 
 
 def assign_regions(thresholds: Mapping[int, Sequence[float]], X) -> np.ndarray:
-    """Vectorized :func:`assign_region` over the rows of ``X``."""
+    """Vectorized :func:`assign_region` over the rows of ``X``.
+
+    A non-finite entry anywhere in ``X`` raises SchemaError naming its row
+    and column, as no segment holds it.
+    """
     X = np.asarray(X, dtype=np.float64)
+    finite = np.isfinite(X)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise SchemaError(f"non-finite predictor value at row {i}, column {j}")
     breaks = [(j, tuple(thresholds[j])) for j in sorted(thresholds)]
     return _region_index(breaks, X.T)
 

@@ -8,6 +8,7 @@ from partwise import (
     FitParams,
     InputError,
     InvalidConfigError,
+    SchemaError,
     assign_region,
     assign_regions,
     estimator,
@@ -202,6 +203,24 @@ class TestAssignRegion:
     def test_out_of_range_uses_outermost(self):
         assert assign_region({0: [1.0]}, [-100.0]) == 0
         assert assign_region({0: [1.0]}, [100.0]) == 1
+
+    def test_non_finite_entry_rejected(self):
+        # No segment holds NaN or an infinity; the comparisons used to place
+        # these rows in regions 2 and 0.
+        thr = {0: (0.5,), 1: (1.0, 2.0)}
+        X = [[np.nan, 1.5], [0.2, np.nan], [1.0, 3.0]]
+        with pytest.raises(
+            SchemaError, match="non-finite predictor value at row 0, column 0"
+        ):
+            assign_regions(thr, X)
+        with pytest.raises(SchemaError, match="at row 0, column 1"):
+            assign_regions(thr, X[1:])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(SchemaError, match="at row 0, column 1"):
+                assign_region(thr, [0.2, bad])
+            with pytest.raises(SchemaError, match="at row 1, column 1"):
+                assign_regions({0: (0.5,)}, [[0.1, 0.2], [0.3, bad]])
+        assert assign_regions(thr, X[2:]).tolist() == [5]
 
 
 def _adjacent_double_data(kind):

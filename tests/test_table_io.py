@@ -17,8 +17,9 @@ import warnings
 import numpy as np
 import pytest
 
+import partwise.cli as cli
+import partwise.io as pio
 from partwise import InputError, load_table
-from partwise.cli import main
 from partwise.estimator import predict
 from partwise.io import dumps_document, load_model
 
@@ -158,8 +159,6 @@ def _write(tmp_path, text, name="t.csv"):
 @pytest.fixture
 def walks(monkeypatch):
     """Count the calls of the per-cell walk inside ``load_table``."""
-    import partwise.io as pio
-
     calls = []
     walk = pio._walk_rows
 
@@ -297,7 +296,7 @@ def test_predict_output_bytes(task, tmp_path):
     data_path = _write(tmp_path, "x\n" + "".join(f"{v!r}\n" for v in STRESS.tolist()), "d.csv")
     out = tmp_path / "p.csv"
     args = ["predict", "--model", str(model_path), "--data", str(data_path)]
-    assert main(args + ["--out", str(out)]) == 0
+    assert cli.main(args + ["--out", str(out)]) == 0
     preds = predict(load_model(str(model_path)), STRESS[:, None])
     assert out.read_bytes() == per_value_predictions_text(task, preds).encode()
 
@@ -305,13 +304,11 @@ def test_predict_output_bytes(task, tmp_path):
 @pytest.mark.parametrize("task", ["regression", "logistic"])
 def test_predict_output_bytes_of_any_value(task, tmp_path, monkeypatch):
     """Values no identity model yields (-0.0, 1e300 probabilities) format alike."""
-    import partwise.cli as cli
-
     monkeypatch.setattr(cli, "predict", lambda model, X: STRESS.copy())
     model_path = tmp_path / "m.json"
     model_path.write_text(dumps_document(_identity_model_document(task)))
     data_path = _write(tmp_path, "x\n" + "0\n" * STRESS.size, "d.csv")
     out = tmp_path / "p.csv"
     args = ["predict", "--model", str(model_path), "--data", str(data_path)]
-    assert main(args + ["--out", str(out)]) == 0
+    assert cli.main(args + ["--out", str(out)]) == 0
     assert out.read_bytes() == per_value_predictions_text(task, STRESS).encode()

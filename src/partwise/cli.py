@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 input/validation error or a file that cannot be
 read or written, 3 search non-convergence (the model file is still written).
 
+``predict`` needs only the model, its document format and table ingestion;
+``fit`` and ``simulate`` import the search when they run, so a predict does
+not pay for loading it.
+
 Model documents are JSON with version tag ``partwise-v1`` and fields
 ``task``, ``n_obs``, ``response``, ``columns``, ``thresholds`` (column name
 to ascending threshold list), ``region_fits`` (per region: ``mask``,
@@ -20,8 +24,6 @@ import sys
 
 import numpy as np
 
-from .bpso import BpsoParams
-from .estimator import FitParams, fit_model, predict, probability_labels
 from .io import (
     align_columns,
     load_model,
@@ -29,12 +31,13 @@ from .io import (
     save_model,
     split_response,
 )
-from .model import CLASSIFICATION_TASKS, InputError, PartwiseError, TASKS
-from .simulate import (
-    SETTINGS,
-    run_trials,
-    summarize_trials,
-    trial_table,
+from .model import (
+    CLASSIFICATION_TASKS,
+    InputError,
+    PartwiseError,
+    TASKS,
+    predict,
+    probability_labels,
 )
 
 EXIT_OK = 0
@@ -90,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--out", required=True, help="predictions path")
 
     sim = sub.add_parser("simulate", help="run a bundled simulation setting")
-    sim.add_argument("--setting", required=True, choices=sorted(SETTINGS))
+    sim.add_argument("--setting", required=True,
+                     help="name of a bundled simulation design")
     sim.add_argument("--n", type=int, default=400)
     sim.add_argument("--sigma", type=float, default=None,
                      help="noise sd for regression settings")
@@ -141,6 +145,9 @@ def _report_lines(outcome) -> list[str]:
 
 
 def _cmd_fit(args) -> int:
+    from .bpso import BpsoParams
+    from .estimator import FitParams, fit_model
+
     header, table = load_table(args.data, args.delim)
     data, response = split_response(header, table, args.response)
     data.validate_task(args.task)
@@ -197,6 +204,12 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import SETTINGS, run_trials, summarize_trials, trial_table
+
+    if args.setting not in SETTINGS:
+        raise InputError(
+            f"unknown --setting {args.setting!r}; choose from {', '.join(sorted(SETTINGS))}"
+        )
     setting = SETTINGS[args.setting]
     if setting.is_regression:
         noise = f"sigma={args.sigma if args.sigma is not None else setting.noise_sigma}"

@@ -1,7 +1,9 @@
-"""End-to-end fitting pipeline and prediction.
+"""End-to-end fitting pipeline.
 
 ``fit_model`` chains the candidate scan, the swarm search, the final
 adjustment, and per-region feature selection into a single fitted model.
+Prediction lives in :mod:`partwise.model`; ``predict`` and
+``predict_labels`` are re-exported here.
 """
 
 from __future__ import annotations
@@ -9,19 +11,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .bpso import BpsoParams, run_bpso
-from .fitting import link_inverse
 from .mdl import SIGMA2_FLOOR
-from .model import (
-    CLASSIFICATION_TASKS,
+from .model import (  # noqa: F401 (predict and predict_labels are re-exported)
     Dataset,
     FittedModel,
     InputError,
-    SchemaError,
     TASK_REGRESSION,
-    assign_regions,
+    predict,
+    predict_labels,
 )
 from .refine import ConfigScorer, ScoredConfig, final_adjust
 from .scan import DEFAULT_MAX_PER_PREDICTOR, default_min_segment, scan_candidates
@@ -135,43 +133,3 @@ def _to_model(
         converged=converged,
         n_obs=data.n,
     )
-
-
-def predict(model: FittedModel, X) -> np.ndarray:
-    """Point predictions for the rows of ``X``.
-
-    Regression returns fitted values; classification returns success
-    probabilities.  Rows beyond the training range use the outermost region.
-    A non-finite value raises SchemaError naming its row and column.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(model.column_names):
-        raise SchemaError(
-            f"expected {len(model.column_names)} predictor columns, "
-            f"got shape {X.shape}"
-        )
-    # assign_regions rejects a non-finite value, naming its row and column.
-    regions = assign_regions(model.config.as_dict(), X)
-    out = np.empty(X.shape[0])
-    for r, fit in enumerate(model.region_fits):
-        rows = regions == r
-        if not rows.any():
-            continue
-        t = fit.linear_predictor(X[rows])
-        if model.task in CLASSIFICATION_TASKS:
-            out[rows] = link_inverse(model.task, t)
-        else:
-            out[rows] = t
-    return out
-
-
-def predict_labels(model: FittedModel, X) -> np.ndarray:
-    """0/1 labels at probability threshold 0.5 (0.5 maps to 1)."""
-    if model.task not in CLASSIFICATION_TASKS:
-        raise ValueError("labels are only defined for classification models")
-    return probability_labels(predict(model, X))
-
-
-def probability_labels(probabilities: np.ndarray) -> np.ndarray:
-    """0/1 labels of success probabilities at threshold 0.5 (0.5 maps to 1)."""
-    return (probabilities >= 0.5).astype(np.int64)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import expit, log_ndtr, ndtr, ndtri
+from scipy.special import expit, log_ndtr, ndtri
 
 from .model import (
     TASK_LOGISTIC,
@@ -129,13 +129,6 @@ def classification_nll(task: str, t: np.ndarray, y: np.ndarray) -> float:
     if task == TASK_LOGISTIC:
         return logistic_nll(t, y)
     return probit_nll(t, y)
-
-
-def link_inverse(task: str, t: np.ndarray) -> np.ndarray:
-    """Success probability at linear predictor ``t``."""
-    if task == TASK_LOGISTIC:
-        return expit(t)
-    return ndtr(t)
 
 
 def _newton_glm(D, y, task, beta0=None):

@@ -31,7 +31,7 @@ DOCUMENT_VERSION = "partwise-v1"
 
 
 def load_table(path: str, delim: str = ",") -> tuple[list[str], np.ndarray]:
-    """Read a delimited text file with a header row into floats.
+    """Read a delimited UTF-8 text file with a header row into floats.
 
     A cell holds one number as ``float`` reads it, optionally quoted and
     surrounded by spaces; blank lines are skipped.  The body is parsed by
@@ -40,21 +40,28 @@ def load_table(path: str, delim: str = ",") -> tuple[list[str], np.ndarray]:
     walk accepts the few spellings ``float`` takes and numpy does not (a
     whitespace-only line, ``1_0``, non-ASCII digits), and a non-numeric or
     non-finite cell raises InputError naming the file row (the header is row
-    1) and the column.  A delimiter that is not one character raises
+    1) and the column.  A cell longer than ``csv.field_size_limit()``
+    raises InputError wherever it is, header or body.  A file that is not
+    valid UTF-8, or a delimiter that is not one character, raises
     InputError too.
     """
     if len(delim) != 1:
         raise InputError(f"delimiter must be one character, got {delim!r}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delim)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise InputError(f"{path}: duplicate column names in header")
-        body = fh.read()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delim)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise InputError(f"{path}: empty file") from None
+            except csv.Error as exc:
+                raise InputError(f"{path}: row 1: {exc}") from None
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                raise InputError(f"{path}: duplicate column names in header")
+            body = fh.read()
+    except UnicodeDecodeError:
+        raise InputError(_not_utf8(path)) from None
     table = _parse_body(body, delim)
     if (
         table is None
@@ -66,11 +73,50 @@ def load_table(path: str, delim: str = ",") -> tuple[list[str], np.ndarray]:
     return header, table
 
 
+def _not_utf8(path: str) -> str:
+    """The message for a file that does not decode as UTF-8, naming the row."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = raw.count(b"\n", 0, exc.start) + 1
+        return f"{path}: row {row}: not valid UTF-8 (byte {raw[exc.start]:#04x})"
+    return f"{path}: not valid UTF-8"
+
+
+def _within_field_limit(body: str, delim: str) -> bool:
+    """Whether no cell of ``body`` can be longer than csv's field limit.
+
+    Without quotes a cell never spans a line break, so a long cell lies in a
+    line longer than the limit, and such a line holds a whole line-break-free
+    window of half the limit: a few ``find`` calls per window settle it.  A
+    quoted cell may span lines, so a quoted body is measured by csv itself.
+    """
+    limit = csv.field_size_limit()
+    if len(body) <= limit:
+        return True
+    if '"' in body:
+        try:
+            for _ in csv.reader(io.StringIO(body, newline=""), delimiter=delim):
+                pass
+        except csv.Error:
+            return False
+        return True
+    step = max(limit // 2, 1)
+    return all(
+        body.find("\n", a, a + step) >= 0 or body.find("\r", a, a + step) >= 0
+        for a in range(0, len(body) - step + 1, step)
+    )
+
+
 def _parse_body(body: str, delim: str) -> np.ndarray | None:
     """The body rows as one array from numpy's reader, or None if it refuses."""
     # numpy strips the separators \x1c-\x1f around a number as whitespace,
-    # and ``float`` does not: such a body is left to the walk.
-    if any(c in body for c in "\x1c\x1d\x1e\x1f"):
+    # and ``float`` does not: such a body is left to the walk.  numpy has no
+    # cell length limit: a body that may hold a cell over csv's is left to
+    # the walk too, which rejects that cell as the header read does.
+    if any(c in body for c in "\x1c\x1d\x1e\x1f") or not _within_field_limit(body, delim):
         return None
     try:
         with warnings.catch_warnings():
@@ -95,30 +141,35 @@ def _walk_rows(path: str, header: list[str], body: str, delim: str) -> np.ndarra
     """The body rows after the header, parsed cell by cell with ``float``."""
     reader = csv.reader(io.StringIO(body, newline=""), delimiter=delim)
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise InputError(
-                f"{path}: row {lineno} has {len(row)} cells, "
-                f"expected {len(header)}"
-            )
-        vals = []
-        for name, cell in zip(header, row):
-            try:
-                v = float(cell)
-            except ValueError:
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
                 raise InputError(
-                    f"{path}: row {lineno}, column {name!r}: "
-                    f"non-numeric value {cell.strip()!r}"
-                ) from None
-            if not math.isfinite(v):
-                raise InputError(
-                    f"{path}: row {lineno}, column {name!r}: "
-                    f"non-finite value {cell.strip()!r}"
+                    f"{path}: row {lineno} has {len(row)} cells, "
+                    f"expected {len(header)}"
                 )
-            vals.append(v)
-        rows.append(vals)
+            vals = []
+            for name, cell in zip(header, row):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise InputError(
+                        f"{path}: row {lineno}, column {name!r}: "
+                        f"non-numeric value {cell.strip()!r}"
+                    ) from None
+                if not math.isfinite(v):
+                    raise InputError(
+                        f"{path}: row {lineno}, column {name!r}: "
+                        f"non-finite value {cell.strip()!r}"
+                    )
+                vals.append(v)
+            rows.append(vals)
+    except csv.Error as exc:
+        # The reader failed on the row after the last one it returned.
+        raise InputError(f"{path}: row {lineno + 1}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)

@@ -2,7 +2,9 @@
 
 Everything in this module is structural: values in, values out, no fitting
 and no search.  All containers are immutable after construction and safe to
-share across threads.
+share across threads.  Prediction lives here too, beside ``FittedModel``:
+it needs only region assignment and each region's link, so a process that
+only predicts loads neither the search nor ``scipy.linalg``.
 
 A partition is computed from cut positions: ``_region_index`` compares
 ``Dataset.rank`` with them, one comparison of every row per cut, and
@@ -465,3 +467,56 @@ class FittedModel:
         return {
             self.column_names[j]: ts for j, ts in self.config.breaks
         }
+
+
+def link_inverse(task: str, t: np.ndarray) -> np.ndarray:
+    """Success probability at linear predictor ``t``.
+
+    ``scipy.special`` is imported on the first call, so a process that only
+    predicts with regression models never loads scipy.
+    """
+    from scipy.special import expit, ndtr
+
+    if task == TASK_LOGISTIC:
+        return expit(t)
+    return ndtr(t)
+
+
+def predict(model: FittedModel, X) -> np.ndarray:
+    """Point predictions for the rows of ``X``.
+
+    Regression returns fitted values; classification returns success
+    probabilities.  Rows beyond the training range use the outermost region.
+    A non-finite value raises SchemaError naming its row and column.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(model.column_names):
+        raise SchemaError(
+            f"expected {len(model.column_names)} predictor columns, "
+            f"got shape {X.shape}"
+        )
+    # assign_regions rejects a non-finite value, naming its row and column.
+    regions = assign_regions(model.config.as_dict(), X)
+    out = np.empty(X.shape[0])
+    for r, fit in enumerate(model.region_fits):
+        rows = regions == r
+        if not rows.any():
+            continue
+        t = fit.linear_predictor(X[rows])
+        if model.task in CLASSIFICATION_TASKS:
+            out[rows] = link_inverse(model.task, t)
+        else:
+            out[rows] = t
+    return out
+
+
+def predict_labels(model: FittedModel, X) -> np.ndarray:
+    """0/1 labels at probability threshold 0.5 (0.5 maps to 1)."""
+    if model.task not in CLASSIFICATION_TASKS:
+        raise ValueError("labels are only defined for classification models")
+    return probability_labels(predict(model, X))
+
+
+def probability_labels(probabilities: np.ndarray) -> np.ndarray:
+    """0/1 labels of success probabilities at threshold 0.5 (0.5 maps to 1)."""
+    return (probabilities >= 0.5).astype(np.int64)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimator import FitParams, fit_model
-from .fitting import link_inverse
 from .model import (
     ChangePointConfig,
     Dataset,
@@ -25,6 +24,7 @@ from .model import (
     TASK_LOGISTIC,
     TASK_REGRESSION,
     assign_regions,
+    link_inverse,
 )
 
 

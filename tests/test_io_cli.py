@@ -285,7 +285,7 @@ def test_file_and_delimiter_errors_exit_2(
     case, reg_csv, saved_model, tmp_path, capsys, monkeypatch
 ):
     # Every case fails before the search starts, and leaves no new file.
-    monkeypatch.setattr("partwise.cli.fit_model", _fit_model_not_called)
+    monkeypatch.setattr("partwise.estimator.fit_model", _fit_model_not_called)
     text, rows_csv = saved_model
     model_path = tmp_path / "model.json"
     model_path.write_text(text)
@@ -305,7 +305,7 @@ def _fit_model_fails(*args, **kwargs):
 
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_fit_leaves_out_as_it_was(existing, reg_csv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("partwise.cli.fit_model", _fit_model_fails)
+    monkeypatch.setattr("partwise.estimator.fit_model", _fit_model_fails)
     out = tmp_path / "m.json"
     if existing:
         out.write_text("an earlier model\n")

@@ -236,6 +236,69 @@ def test_random_tables(tmp_path):
     assert kinds == {"table", "error"}
 
 
+# -- cells over csv's field limit, text that is not UTF-8 -------------------
+
+LIMIT = csv.field_size_limit()
+LONG = " " * LIMIT + "1"  # one character over the limit
+AT_LIMIT = " " * (LIMIT - 1) + "1"
+
+# A cell over the limit fails wherever it is, with the row it is in.
+OVER_LIMIT = {
+    "fast_body": ("a,b\n" + LONG + ",2\n3,4\n", 2),
+    "walked_body": ("a,b\n" + LONG + ",2\n3,1_0\n", 2),
+    "after_walked_row": ("a,b\n1_0,2\n3,4\n" + LONG + ",5\n", 4),
+    "one_column": ("a\n1\n" + LONG + "\n", 3),
+    "quoted_across_lines": ('a,b\n"1' + "\n" * LIMIT + '",2\n3,4\n', 2),
+    "header": ("a" + LONG + ",b\n1,2\n", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_LIMIT))
+def test_cell_over_field_limit_fails_on_every_path(name, tmp_path):
+    text, row = OVER_LIMIT[name]
+    path = _write(tmp_path, text)
+    with pytest.raises(InputError, match=f"^{path}: row {row}: field larger than field limit"):
+        load_table(str(path))
+
+
+@pytest.mark.parametrize("last", ["3,4", "3,1_0"])
+def test_cell_at_field_limit_loads(last, tmp_path):
+    _, table = load_table(str(_write(tmp_path, f"a,b\n{AT_LIMIT},2\n{last}\n")))
+    assert table.tolist() == [[1.0, 2.0], [3.0, float(last[2:].replace("_", ""))]]
+
+
+@pytest.mark.parametrize(
+    "raw, row, byte",
+    [(b"x\n1\xff\n", 2, "0xff"), (b"\xffx\n1\n", 1, "0xff"), (b"x\n1\n2\xc3", 3, "0xc3")],
+    ids=["body", "header", "truncated_at_end"],
+)
+def test_not_utf8_names_file_and_row(raw, row, byte, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    with pytest.raises(InputError, match=f"^{path}: row {row}: not valid UTF-8 \\(byte {byte}\\)$"):
+        load_table(str(path))
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+@pytest.mark.parametrize(
+    "text", [b"x,y\n1,2\xff\n", ("x,y\n" + LONG + ",2\n").encode()], ids=["not_utf8", "over_limit"]
+)
+def test_cli_rejects_table_with_exit_2(command, text, tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_bytes(text)
+    model = tmp_path / "m.json"
+    model.write_text(dumps_document(_identity_model_document("regression")))
+    args = ["--data", str(data), "--out", str(tmp_path / "out")]
+    if command == "fit":
+        args += ["--response", "y", "--task", "regression"]
+    else:
+        args += ["--model", str(model)]
+    assert cli.main([command] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: row 2: ")
+    assert "Traceback" not in err
+
+
 # -- prediction output ----------------------------------------------------
 
 

@@ -45,6 +45,16 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 
+def __getattr__(name):
+    # ``partwise.cli.fit_model`` still names the fit, loaded on first access
+    # (PEP 562); ``_cmd_fit`` calls ``partwise.estimator.fit_model`` itself.
+    if name == "fit_model":
+        from .estimator import fit_model
+
+        return fit_model
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _threads(value: int | None) -> int:
     if value is not None:
         if value < 1:
@@ -94,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a bundled simulation setting")
     sim.add_argument("--setting", required=True,
-                     help="name of a bundled simulation design")
+                     help="name of a bundled simulation design "
+                          "(cls1, cls2, reg1, reg2; an unknown name lists them)")
     sim.add_argument("--n", type=int, default=400)
     sim.add_argument("--sigma", type=float, default=None,
                      help="noise sd for regression settings")

@@ -2,8 +2,8 @@
 
 ``fit_model`` chains the candidate scan, the swarm search, the final
 adjustment, and per-region feature selection into a single fitted model.
-Prediction lives in :mod:`partwise.model`; ``predict`` and
-``predict_labels`` are re-exported here.
+Prediction lives in :mod:`partwise.model`; ``predict``,
+``predict_labels`` and ``assign_regions`` are re-exported here.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 from .bpso import BpsoParams, run_bpso
 from .mdl import SIGMA2_FLOOR
-from .model import (  # noqa: F401 (predict and predict_labels are re-exported)
+from .model import (  # noqa: F401 (the prediction names are re-exported)
     Dataset,
     FittedModel,
     InputError,
     TASK_REGRESSION,
+    assign_regions,
     predict,
     predict_labels,
 )

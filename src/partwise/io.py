@@ -86,28 +86,46 @@ def _not_utf8(path: str) -> str:
 
 
 def _within_field_limit(body: str, delim: str) -> bool:
-    """Whether no cell of ``body`` can be longer than csv's field limit.
+    """Whether no cell of ``body`` that numpy may accept is over csv's limit.
 
-    Without quotes a cell never spans a line break, so a long cell lies in a
-    line longer than the limit, and such a line holds a whole line-break-free
-    window of half the limit: a few ``find`` calls per window settle it.  A
-    quoted cell may span lines, so a quoted body is measured by csv itself.
+    A long cell lies in a run of more than the limit characters without a
+    cell end, and such a run holds a whole window of half the limit that
+    starts at a multiple of it: a few ``find`` calls per window look for one,
+    and only a run found that way is measured.  Outside quotes the delimiter
+    and a line break end a cell.  A quoted cell may hold either; one that
+    holds the delimiter is no number, so numpy refuses it and the walk
+    measures it.  In a quoted body only the delimiter ends a cell, then, and
+    a long run is measured by csv itself.  That fails for a delimiter a
+    number may hold, such as a space, so such a quoted body is measured by
+    csv at once.
     """
     limit = csv.field_size_limit()
     if len(body) <= limit:
         return True
-    if '"' in body:
-        try:
-            for _ in csv.reader(io.StringIO(body, newline=""), delimiter=delim):
-                pass
-        except csv.Error:
-            return False
-        return True
+    quoted = '"' in body
+    if quoted and (delim.isspace() or delim in "0123456789+-.eE"):
+        return _csv_within_field_limit(body, delim)
+    ends = (delim,) if quoted else (delim, "\n", "\r")
     step = max(limit // 2, 1)
-    return all(
-        body.find("\n", a, a + step) >= 0 or body.find("\r", a, a + step) >= 0
-        for a in range(0, len(body) - step + 1, step)
-    )
+    for a in range(0, len(body) - step + 1, step):
+        if any(body.find(e, a, a + step) >= 0 for e in ends):
+            continue
+        start = max(body.rfind(e, 0, a) for e in ends) + 1
+        stop = min((i for i in (body.find(e, a + step) for e in ends) if i >= 0),
+                   default=len(body))
+        if stop - start > limit:
+            return _csv_within_field_limit(body, delim) if quoted else False
+    return True
+
+
+def _csv_within_field_limit(body: str, delim: str) -> bool:
+    """Whether csv reads every cell of ``body`` within its field limit."""
+    try:
+        for _ in csv.reader(io.StringIO(body, newline=""), delimiter=delim):
+            pass
+    except csv.Error:
+        return False
+    return True
 
 
 def _parse_body(body: str, delim: str) -> np.ndarray | None:

@@ -152,3 +152,28 @@ def test_unknown_simulate_setting_exits_2_naming_the_settings(capsys):
     for name in partwise.SETTINGS:
         assert name in err
     assert "Traceback" not in err
+
+
+def test_simulate_help_lists_the_settings(capsys):
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"({', '.join(sorted(partwise.SETTINGS))};" in out
+
+
+def test_names_the_fit_and_predict_were_looked_up_by_still_resolve(tmp_path):
+    # A fresh interpreter: a tracer that patched these names earlier in this
+    # process leaves its own wrapper bound to them.
+    got = _run(tmp_path, (
+        "import json, sys\n"
+        "import partwise.cli as cli, partwise.estimator as est, partwise.model as mod\n"
+        "try:\n    cli.no_such_name\nexcept AttributeError as exc:\n    error = str(exc)\n"
+        "json.dump({'fit': cli.fit_model is est.fit_model,\n"
+        "           'assign': est.assign_regions is mod.assign_regions,\n"
+        "           'error': error}, open(sys.argv[1], 'w'))\n"
+    ))
+    assert got == {
+        "fit": True,
+        "assign": True,
+        "error": "module 'partwise.cli' has no attribute 'no_such_name'",
+    }

@@ -250,6 +250,7 @@ OVER_LIMIT = {
     "one_column": ("a\n1\n" + LONG + "\n", 3),
     "quoted_across_lines": ('a,b\n"1' + "\n" * LIMIT + '",2\n3,4\n', 2),
     "header": ("a" + LONG + ",b\n1,2\n", 1),
+    "unquoted_in_quoted_body": ('a,b\n"1",2\n' + LONG + ",3\n", 3),
 }
 
 
@@ -259,6 +260,38 @@ def test_cell_over_field_limit_fails_on_every_path(name, tmp_path):
     path = _write(tmp_path, text)
     with pytest.raises(InputError, match=f"^{path}: row {row}: field larger than field limit"):
         load_table(str(path))
+
+
+def test_quoted_cell_over_field_limit_with_space_delimiter(tmp_path):
+    # numpy strips the spaces inside the quotes, so the space delimiter is
+    # no cell end for the probe.
+    path = _write(tmp_path, 'a b\n"' + LONG + '" 2\n3 4\n')
+    with pytest.raises(InputError, match=f"^{path}: row 2: field larger than field limit"):
+        load_table(str(path), " ")
+
+
+# Bodies over the limit whose cells are all short: numpy parses them.
+LONG_BODY_SHORT_CELLS = {
+    "wide_lines": "".join(f"c{j}," for j in range(9000)) + "y\n"
+    + ("1.2345678901234567," * 9000 + "2\n") * 3,
+    "quoted_cells": "a,b\n" + '"1.5","-2.25"\n' * 20000,
+    "quoted_one_column": "a\n" + '"1.5"\n' * 30000,
+    "long_run_at_limit": "a,b\n" + AT_LIMIT + ",2\n" + "3,4\n" * 40000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_BODY_SHORT_CELLS))
+def test_long_body_with_short_cells_loads_from_numpy_reader(name, tmp_path, walks, monkeypatch):
+    measured = []
+    measure = pio._csv_within_field_limit
+    monkeypatch.setattr(
+        pio, "_csv_within_field_limit", lambda *args: measured.append(1) or measure(*args)
+    )
+    got = assert_same(_write(tmp_path, LONG_BODY_SHORT_CELLS[name]))
+    assert got[0] == "table"
+    assert walks == []
+    # Only a body with no cell end in a window of half the limit is read by csv.
+    assert len(measured) == (name == "quoted_one_column")
 
 
 @pytest.mark.parametrize("last", ["3,4", "3,1_0"])

@@ -17,7 +17,7 @@ paper, or after ``max_iter`` iterations.
 
 Velocities are sparse.  Where a particle, its pbest and the global best
 agree, both difference terms of the velocity update are exactly zero, so
-the velocity there follows ``v <- sigmoid(|omega * v|)`` from 0 and the new
+the velocity there follows ``v <- sigmoid(|OMEGA * v|)`` from 0 and the new
 bit is the common bit.  Every position that has never disagreed therefore
 shares one velocity, ``SwarmState.rest_velocity``, and each particle
 stores velocities only at the positions where it has.  An iteration draws
@@ -38,6 +38,9 @@ from .model import ChangePointConfig, Dataset, InputError
 from .refine import ConfigScorer, ScoredConfig, _key_from_pairs
 
 SHIFT_SPAN = 3  # random bit adjustments are drawn from {-3, ..., +3}
+# Inertia, the pbest and gbest acceleration constants, and the band edge of
+# the position update, fixed as in the paper.
+OMEGA, C1, C2, A = 1.0, 2.0, 2.0, 0.5
 # The search has converged once the global best improves by no more than
 # STALL_TOL for STALL_ITERS consecutive iterations.
 STALL_ITERS = 5
@@ -49,10 +52,6 @@ class BpsoParams:
     """Swarm-search tuning parameters."""
 
     swarm_size: int = 100
-    omega: float = 1.0
-    c1: float = 2.0
-    c2: float = 2.0
-    a: float = 0.5
     max_iter: int = 200
 
 
@@ -105,9 +104,9 @@ def update_velocity(
     x_prev,
     pbest,
     gbest,
-    omega: float = 1.0,
-    c1: float = 2.0,
-    c2: float = 2.0,
+    omega: float = OMEGA,
+    c1: float = C1,
+    c2: float = C2,
     *,
     r1,
     r2,
@@ -124,7 +123,7 @@ def update_velocity(
     return 1.0 / (1.0 + np.exp(-np.abs(inner)))
 
 
-def update_particle_bit(x_prev, pbest, gbest, v_new, a: float = 0.5):
+def update_particle_bit(x_prev, pbest, gbest, v_new, a: float = A):
     """Band rule, elementwise: keep the own bit where ``v_new <= a``, copy
     pbest's where ``v_new <= (1 + a) / 2``, and copy gbest's above that."""
     band = 0.5 * (1.0 + a)
@@ -347,14 +346,11 @@ def _advance(
             x_at.astype(np.float64),
             pb_at.astype(np.float64),
             gb_at.astype(np.float64),
-            params.omega,
-            params.c1,
-            params.c2,
             r1=np.array([r1.get(f, 0.0) for f in at], dtype=np.float64),
             r2=np.array([r2.get(f, 0.0) for f in at], dtype=np.float64),
         )
         swarm.velocities[i] = dict(zip(at, v.tolist()))
-        bits = update_particle_bit(x_at, pb_at, gb_at, v, params.a)
+        bits = update_particle_bit(x_at, pb_at, gb_at, v)
         cuts = [divmod(f, n) for f in agree.union(f for f, b in zip(at, bits) if b)]
         moved = _make_particle(cuts, rng, scorer)
         swarm.particles[i] = moved
@@ -365,10 +361,7 @@ def _advance(
     # goes through a one-element array so that np.exp runs the same loop as
     # on the gathered positions.
     swarm.rest_velocity = float(
-        update_velocity(
-            np.array([rest]), 0.0, 0.0, 0.0, params.omega, params.c1, params.c2,
-            r1=0.0, r2=0.0,
-        )[0]
+        update_velocity(np.array([rest]), 0.0, 0.0, 0.0, r1=0.0, r2=0.0)[0]
     )
 
 
@@ -392,14 +385,10 @@ def run_bpso(
     mutation, and global-best bookkeeping until the global best is
     unchanged (within ``STALL_TOL``) for ``STALL_ITERS`` consecutive
     iterations, or ``params.max_iter`` is reached (the result is then
-    flagged as not converged).  Raises InputError for a non-finite
-    ``omega``, ``c1``, ``c2`` or ``a`` and for ``max_iter`` below 1.
+    flagged as not converged).  Raises InputError for ``max_iter`` below 1.
     """
     if params is None:
         params = BpsoParams()
-    for name in ("omega", "c1", "c2", "a"):
-        if not math.isfinite(getattr(params, name)):
-            raise InputError(f"{name} must be finite, got {getattr(params, name)}")
     if params.max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {params.max_iter}")
     if scorer is None:

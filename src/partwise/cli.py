@@ -55,23 +55,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _threads(value: int | None) -> int:
-    if value is not None:
-        if value < 1:
-            raise InputError(f"--threads must be at least 1, got {value}")
-        return value
-    env = os.environ.get("PARTWISE_THREADS")
-    if not env:
-        return 1
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise InputError(f"PARTWISE_THREADS must be a positive integer, got {env!r}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partwise",
@@ -88,10 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="min observations per 1-D segment (default max(P+2,10))")
     fit.add_argument("--swarm-size", type=int, default=100)
     fit.add_argument("--max-iter", type=int, default=200)
-    fit.add_argument("--omega", type=float, default=1.0)
-    fit.add_argument("--c1", type=float, default=2.0)
-    fit.add_argument("--c2", type=float, default=2.0)
-    fit.add_argument("--a", type=float, default=0.5)
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--delim", default=",")
     fit.add_argument("--out", required=True, help="model document path")
@@ -113,9 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="link for classification settings")
     sim.add_argument("--trials", type=int, default=50)
     sim.add_argument("--seed", type=int, default=1)
-    sim.add_argument("--threads", type=int, default=None,
-                     help="worker processes for the trials "
-                          "(default $PARTWISE_THREADS, else 1)")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker processes for the trials")
     sim.add_argument("--out", default=None,
                      help="optional path for the per-trial table")
     return parser
@@ -165,14 +143,7 @@ def _cmd_fit(args) -> int:
     params = FitParams(
         max_cp_per_predictor=args.max_cp_per_predictor,
         min_segment=args.min_segment,
-        swarm=BpsoParams(
-            swarm_size=args.swarm_size,
-            omega=args.omega,
-            c1=args.c1,
-            c2=args.c2,
-            a=args.a,
-            max_iter=args.max_iter,
-        ),
+        swarm=BpsoParams(swarm_size=args.swarm_size, max_iter=args.max_iter),
         seed=args.seed,
     )
     # Open --out before the search, so that a path that cannot be written
@@ -237,7 +208,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         sigma=args.sigma,
         link=args.link,
-        threads=_threads(args.threads),
+        threads=args.threads,
     )
     table = trial_table(results)
     if args.out:

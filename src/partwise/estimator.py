@@ -82,13 +82,7 @@ def fit_model(
             "no split is admissible, fitting the no-break model",
             stacklevel=2,
         )
-    candidates = scan_candidates(
-        data,
-        task,
-        params.max_cp_per_predictor,
-        min_segment,
-        require_improvement=False,
-    )
+    candidates = scan_candidates(data, task, params.max_cp_per_predictor, min_segment)
     scorer = ConfigScorer(data, task)
     result = run_bpso(
         data, task, candidates, params.swarm, seed=params.seed, scorer=scorer

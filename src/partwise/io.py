@@ -319,8 +319,39 @@ def _require(obj, keys: Sequence[str], where: str) -> None:
         raise SchemaError(f"{where} is missing keys {missing}")
 
 
+def _number(value, where: str) -> float:
+    # A JSON integer is a number too: ``.17g`` writes 5.0 as ``5``.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: {value} overflows a double") from None
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _list_of(check, value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where} must be a list, got {value!r}")
+    return [check(v, where) for v in value]
+
+
 def document_to_model(doc: dict) -> FittedModel:
-    """Rebuild a model from its document; a malformed one raises SchemaError."""
+    """Rebuild a model from its document; a malformed one raises SchemaError.
+
+    Every field must have its JSON type: nothing is coerced.
+    """
     _require(doc, _DOCUMENT_KEYS, "model document")
     if doc["version"] != DOCUMENT_VERSION:
         raise SchemaError(
@@ -328,56 +359,67 @@ def document_to_model(doc: dict) -> FittedModel:
         )
     if doc["task"] not in TASKS:
         raise SchemaError(f"unknown task {doc['task']!r}")
-    try:
-        columns = tuple(str(c) for c in doc["columns"])
-        name_to_idx = {c: j for j, c in enumerate(columns)}
-        unknown = [c for c in doc["thresholds"] if c not in name_to_idx]
-        if unknown:
-            raise SchemaError(f"thresholds name unknown columns {unknown}")
-        config = ChangePointConfig(
-            {name_to_idx[c]: ts for c, ts in doc["thresholds"].items()}
+    n_obs = doc["n_obs"]
+    if isinstance(n_obs, bool) or not isinstance(n_obs, int):
+        raise SchemaError(f"n_obs must be an integer, got {n_obs!r}")
+    columns = tuple(_list_of(_text, doc["columns"], "columns"))
+    thresholds = doc["thresholds"]
+    _require(thresholds, (), "thresholds")
+    name_to_idx = {c: j for j, c in enumerate(columns)}
+    unknown = [c for c in thresholds if c not in name_to_idx]
+    if unknown:
+        raise SchemaError(f"thresholds name unknown columns {unknown}")
+    config = ChangePointConfig(
+        {
+            name_to_idx[c]: _list_of(_number, ts, f"thresholds[{c!r}]")
+            for c, ts in thresholds.items()
+        }
+    )
+    region_fits = doc["region_fits"]
+    if not isinstance(region_fits, list):
+        raise SchemaError("region_fits must be a list")
+    if len(region_fits) != config.num_regions:
+        raise SchemaError(
+            f"{len(region_fits)} region fits for {config.num_regions} regions"
         )
-        if len(doc["region_fits"]) != config.num_regions:
+    fits = []
+    for r, rf in enumerate(region_fits):
+        where = f"region fit {r}"
+        _require(rf, _REGION_FIT_KEYS, where)
+        mask = np.array(_list_of(_flag, rf["mask"], f"{where}: mask"), dtype=bool)
+        beta = np.array(_list_of(_number, rf["beta"], f"{where}: beta"), dtype=np.float64)
+        if mask.shape != (len(columns) + 1,):
             raise SchemaError(
-                f"{len(doc['region_fits'])} region fits for "
-                f"{config.num_regions} regions"
+                f"{where}: mask must have {len(columns) + 1} entries"
             )
-        fits = []
-        for r, rf in enumerate(doc["region_fits"]):
-            _require(rf, _REGION_FIT_KEYS, f"region fit {r}")
-            mask = np.asarray(rf["mask"], dtype=bool)
-            beta = np.asarray(rf["beta"], dtype=np.float64)
-            if mask.shape != (len(columns) + 1,):
-                raise SchemaError(
-                    f"region fit {r}: mask must have {len(columns) + 1} entries"
-                )
-            if beta.shape != (int(mask.sum()),):
-                raise SchemaError(
-                    f"region fit {r}: {beta.size} coefficients for "
-                    f"{int(mask.sum())} selected columns"
-                )
-            fits.append(
-                RegionFit(
-                    mask, beta, float(rf["fit_stat"]), stabilized=bool(rf["stabilized"])
-                )
+        if beta.shape != (int(mask.sum()),):
+            raise SchemaError(
+                f"{where}: {beta.size} coefficients for "
+                f"{int(mask.sum())} selected columns"
             )
-        m = doc["mdl"]
-        _require(m, _MDL_KEYS, "mdl breakdown")
-        mdl = MdlBreakdown(**{k: float(m[k]) for k in _MDL_KEYS})
-        sigma2 = doc["sigma2_hat"]
-        return FittedModel(
-            task=doc["task"],
-            config=config,
-            column_names=columns,
-            response_name=str(doc["response"]),
-            region_fits=fits,
-            mdl=mdl,
-            sigma2_hat=None if sigma2 is None else float(sigma2),
-            converged=bool(doc["converged"]),
-            n_obs=int(doc["n_obs"]),
+        fits.append(
+            RegionFit(
+                mask,
+                beta,
+                _number(rf["fit_stat"], f"{where}: fit_stat"),
+                stabilized=_flag(rf["stabilized"], f"{where}: stabilized"),
+            )
         )
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise SchemaError(f"malformed model document: {exc}") from None
+    m = doc["mdl"]
+    _require(m, _MDL_KEYS, "mdl breakdown")
+    mdl = MdlBreakdown(**{k: _number(m[k], f"mdl {k}") for k in _MDL_KEYS})
+    sigma2 = doc["sigma2_hat"]
+    return FittedModel(
+        task=doc["task"],
+        config=config,
+        column_names=columns,
+        response_name=_text(doc["response"], "response"),
+        region_fits=fits,
+        mdl=mdl,
+        sigma2_hat=None if sigma2 is None else _number(sigma2, "sigma2_hat"),
+        converged=_flag(doc["converged"], "converged"),
+        n_obs=n_obs,
+    )
 
 
 def save_model(model: FittedModel, path: str) -> None:

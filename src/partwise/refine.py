@@ -43,6 +43,7 @@ from .model import (
 EXHAUSTIVE_MASK_LIMIT = 15  # exhaustive 2^(P+1) enumeration up to this many columns
 MAX_CYCLES = 60
 SUBSET_CAP = 12  # beyond this many change points, only single-drop subsets
+SHIFT_RADIUS = 3  # final_adjust shifts a cut by up to this many positions
 # Slack in the bounded walk for the convergence error of an unpenalized
 # Newton fit, by which a subset's NLL may read below its superset's.
 BOUND_MARGIN = 1e-6
@@ -364,7 +365,6 @@ def final_adjust(
     data: Dataset,
     task: str,
     config: ChangePointConfig,
-    shift_radius: int = 3,
     scorer: ConfigScorer | None = None,
 ) -> ScoredConfig:
     """Search subsets and small shifts of ``config``'s change points.
@@ -372,7 +372,7 @@ def final_adjust(
     Every subset of the change points is evaluated (all ``2^m`` subsets up
     to ``SUBSET_CAP`` points, otherwise the full set plus single-drop
     subsets).  Around each subset, each retained threshold is additionally
-    shifted one at a time by ``+-1..shift_radius`` order-statistic positions.
+    shifted one at a time by ``+-1..SHIFT_RADIUS`` order-statistic positions.
     Candidates work on cut positions, and the infeasible ones (``score_key``
     returns None) are skipped.  The feature-selected MDL minimizer is
     returned; the incumbent, which must be feasible, is scored first, so the
@@ -412,7 +412,7 @@ def final_adjust(
         for slot in range(len(kept)):
             j, pos = kept[slot]
             for delta in itertools.chain(
-                range(-shift_radius, 0), range(1, shift_radius + 1)
+                range(-SHIFT_RADIUS, 0), range(1, SHIFT_RADIUS + 1)
             ):
                 moved = data.snap_cut(j, pos + delta)
                 if moved is None or moved == pos:

@@ -10,10 +10,10 @@ links) and evaluates the criterion of all cuts as vectors, with the same
 floating-point operations in the same order as scoring one cut at a time, so
 the first minimizer is the one a cut-by-cut loop would pick.  A regression
 scan keeps the RSS of every prefix segment ``[0, b)`` and suffix segment
-``[b, n)`` it solves, so later steps solve only interior segments.  The
-scan stops at the per-predictor cap, when no position satisfies the
-minimum-segment constraint, or when the best addition no longer lowers the
-criterion.
+``[b, n)`` it solves, so later steps solve only interior segments.  A
+predictor's scan stops at the per-predictor cap, or when no position
+satisfies the minimum-segment constraint or scores finite; it does not stop
+when the best addition fails to lower the criterion.
 """
 
 from __future__ import annotations
@@ -163,7 +163,6 @@ def _one_predictor_mdl(
     one model's segment sizes and fit statistics, left to right.  ``log2[c]``
     is ``math.log2(c)``.  Every sum runs over the segments left to right, term
     by term, so each row's value equals the scalar criterion bit for bit.
-    With no cuts this reduces to the no-break criterion.
     """
     l = counts.shape[1] - 1
     log2_counts = log2[counts]
@@ -183,8 +182,6 @@ def _one_predictor_mdl(
         residual = 0.5 * n * np.array(list(map(math.log, sigma2.tolist())))
     else:
         residual = total_stat
-    if l == 0:
-        return region + residual
     structural = math.log2(P) + math.log2(2) + math.log2(l + 1) + occupancy
     return structural + region + residual
 
@@ -202,7 +199,7 @@ def _scan_step(
 ):
     """The best cut to add to the segments ``bounds``, scoring all at once.
 
-    Returns ``(cut position, segment index, mdl, left stat, right stat)`` for
+    Returns ``(cut position, segment index, left stat, right stat)`` for
     the first minimizer in cut order, or None when no cut is admissible or
     none scores finite.  Chosen cuts are excluded by the minimum segment.
     """
@@ -234,7 +231,7 @@ def _scan_step(
     i = int(np.argmin(mdl))
     if mdl[i] == np.inf:
         return None
-    return int(cuts[ok[i]]), int(k[i]), mdl[i], left[i], right[i]
+    return int(cuts[ok[i]]), int(k[i]), left[i], right[i]
 
 
 def _scan_one(
@@ -243,7 +240,6 @@ def _scan_one(
     task: str,
     max_per: int,
     min_segment: int,
-    require_improvement: bool,
     log2: np.ndarray,
 ) -> list[float]:
     cuts = data.cut_positions(j)
@@ -256,11 +252,8 @@ def _scan_one(
     )
     bounds = np.array([0, data.n])
     # The whole sample is its own parent: nothing is fitted yet to start from.
+    # The first step's binary fits warm-start from this fit.
     seg_stats = segments.stats(bounds[:1], bounds[1:], bounds[:1], bounds[1:])
-    current = _one_predictor_mdl(
-        data.n, data.P, np.diff(bounds)[None, :], seg_stats[None, :], task, log2
-    )[0]
-
     chosen: list[int] = []
     while len(chosen) < max_per:
         step = _scan_step(
@@ -268,13 +261,10 @@ def _scan_one(
         )
         if step is None:
             break
-        pos, k, best_mdl, left, right = step
-        if require_improvement and best_mdl >= current:
-            break
+        pos, k, left, right = step
         chosen.append(pos)
         bounds = np.insert(bounds, k + 1, pos + 1)
         seg_stats = np.concatenate([seg_stats[:k], [left, right], seg_stats[k + 1 :]])
-        current = best_mdl
     return [data.midpoint(j, p) for p in sorted(chosen)]
 
 
@@ -283,21 +273,15 @@ def scan_candidates(
     task: str,
     max_per_predictor: int = DEFAULT_MAX_PER_PREDICTOR,
     min_segment: int | None = None,
-    require_improvement: bool = True,
 ) -> dict[int, list[float]]:
     """Candidate thresholds per predictor for seeding the swarm search.
 
     Returns a mapping from predictor index to an ascending list of midpoint
     thresholds; predictors contributing no candidates are omitted.
 
-    With ``require_improvement`` (the default) a predictor's greedy sequence
-    also stops as soon as the best addition no longer lowers the one-predictor
-    criterion, so structureless predictors yield empty lists.  The full
-    fitting pipeline disables it: a break that only pays off jointly with a
-    break on another predictor can look useless to every one-predictor score,
-    and the swarm search needs the candidate in the superset to find it.
-    Discarding such candidates costs recall that the downstream subset search
-    cannot recover, while keeping them only costs the search a little time.
+    Each predictor is scanned to its cap even when a break does not lower
+    the one-predictor criterion: a break that pays off only jointly with a
+    break on another predictor looks useless to every one-predictor score.
     """
     data.validate_task(task)
     if max_per_predictor < 1:
@@ -310,9 +294,7 @@ def scan_candidates(
     log2 = np.array([-np.inf] + [math.log2(c) for c in range(1, data.n + 1)])
     out: dict[int, list[float]] = {}
     for j in range(data.P):
-        found = _scan_one(
-            data, j, task, max_per_predictor, min_segment, require_improvement, log2
-        )
+        found = _scan_one(data, j, task, max_per_predictor, min_segment, log2)
         if found:
             out[j] = found
     return out

@@ -9,9 +9,10 @@ discrete break predictor).  ``run_trials`` repeats generate/fit/evaluate and
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,10 +154,13 @@ def generate(
     Predictors are sampled from their marginals, each point's region comes
     from the true configuration, and the response is the region-wise linear
     mean plus N(0, sigma^2) noise (regression) or a Bernoulli draw through
-    the link (classification).
+    the link (classification).  Raises InputError for n below 50 and for a
+    sigma that is negative or not finite; 0 draws noise-free responses.
     """
     if n < 50:
         raise InputError("n must be at least 50")
+    if sigma is not None and not (math.isfinite(sigma) and sigma >= 0.0):
+        raise InputError(f"sigma must be finite and at least 0, got {sigma}")
     X = np.column_stack([spec.draw(n, rng) for spec in setting.predictors])
     regions = assign_regions({j: ts for j, ts in setting.true_breaks}, X)
     D = np.column_stack([np.ones(n), X])
@@ -228,16 +232,15 @@ def run_trial(
     index: int,
     sigma: float | None = None,
     link: str | None = None,
-    fit_params: FitParams | None = None,
 ) -> TrialResult:
     """One generate/fit/evaluate cycle, fully determined by (seed, index)."""
     setting = SETTINGS[setting_name]
     rng = trial_rng(seed, index)
     data = generate(setting, n, rng, sigma=sigma, link=link)
     task = TASK_REGRESSION if setting.is_regression else (link or setting.link)
-    params = fit_params or FitParams()
-    params = replace(params, seed=int(np.random.default_rng(
-        [seed & 0xFFFFFFFF, 13, index]).integers(2**31)))
+    params = FitParams(
+        seed=int(np.random.default_rng([seed & 0xFFFFFFFF, 13, index]).integers(2**31))
+    )
     t0 = time.perf_counter()
     outcome = fit_model(data, task, params)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -253,7 +256,6 @@ def run_trials(
     seed: int = 1,
     sigma: float | None = None,
     link: str | None = None,
-    fit_params: FitParams | None = None,
     threads: int = 1,
 ) -> list[TrialResult]:
     """Repeat :func:`run_trial`; order-independent and seed-reproducible.
@@ -262,10 +264,9 @@ def run_trials(
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
-    args = [
-        (setting_name, n, seed, i, sigma, link, fit_params)
-        for i in range(trials)
-    ]
+    if threads < 1:
+        raise InputError(f"threads must be at least 1, got {threads}")
+    args = [(setting_name, n, seed, i, sigma, link) for i in range(trials)]
     workers = min(threads, trials)
     if workers <= 1:
         return [run_trial(*a) for a in args]
@@ -290,7 +291,7 @@ class TrialSummary:
     cp_stats: tuple[tuple[int, int, float, float], ...]  # (pred, idx, mean, se)
     mask_accuracy: tuple[float, ...]
 
-    def to_rows(self, delim: str = ",") -> list[str]:
+    def to_rows(self) -> list[str]:
         head = ["setting", "n", "noise", "trials", "pct_correct_BL"]
         vals = [
             self.setting,
@@ -305,7 +306,7 @@ class TrialSummary:
         for r, acc in enumerate(self.mask_accuracy):
             head.append(f"mask_acc_region{r + 1}")
             vals.append(f"{acc:.4f}")
-        return [delim.join(head), delim.join(vals)]
+        return [",".join(head), ",".join(vals)]
 
 
 def summarize_trials(
@@ -347,17 +348,13 @@ def summarize_trials(
     )
 
 
-def trial_table(results: list[TrialResult], delim: str = ",") -> list[str]:
-    """Per-trial delimited rows: correctness, flattened errors, runtime."""
-    lines = [delim.join(["trial", "correct_BL", "cp_errors", "masks_correct", "runtime_ms"])]
+def trial_table(results: list[TrialResult]) -> list[str]:
+    """Per-trial comma-separated rows: correctness, flattened errors, runtime."""
+    lines = ["trial,correct_BL,cp_errors,masks_correct,runtime_ms"]
     for i, r in enumerate(results):
         errs = ";".join(
             f"x{j + 1}:{e:.6g}" for j, ts in r.cp_errors for e in ts
         )
         masks = ";".join(str(int(m)) for m in r.region_masks_correct)
-        lines.append(
-            delim.join(
-                [str(i), str(int(r.correct_BL)), errs, masks, f"{r.runtime_ms:.1f}"]
-            )
-        )
+        lines.append(f"{i},{int(r.correct_BL)},{errs},{masks},{r.runtime_ms:.1f}")
     return lines

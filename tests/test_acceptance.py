@@ -100,7 +100,6 @@ def test_criterion_2_exhaustive_search_oracle():
         data = _tiny_instance(seed)
         cands = scan_candidates(
             data, "regression", max_per_predictor=3, min_segment=4,
-            require_improvement=False,
         )
         pairs = _candidate_pairs(data, cands)
         assert len(pairs) <= 4
@@ -255,7 +254,7 @@ def test_criterion_7_property_suites():
     # gbest monotonicity + seeded determinism across 20 repeated runs
     data = _tiny_instance(7)
     cands = scan_candidates(data, "regression", max_per_predictor=3,
-                            min_segment=4, require_improvement=False)
+                            min_segment=4)
     pairs = _candidate_pairs(data, cands)
     outcomes = set()
     for _ in range(20):

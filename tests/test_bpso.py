@@ -230,7 +230,7 @@ class TestRunBpso:
             from partwise import final_adjust, scan_candidates
 
             cands = scan_candidates(d, "regression", max_per_predictor=2,
-                                    min_segment=4, require_improvement=False)
+                                    min_segment=4)
             pairs = _candidate_pairs(d, cands)
             scorer = ConfigScorer(d, "regression")
             best = np.inf

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 
@@ -5,6 +7,8 @@ import numpy as np
 import pytest
 
 from partwise import (
+    BpsoParams,
+    Dataset,
     InputError,
     SchemaError,
     load_model,
@@ -12,7 +16,7 @@ from partwise import (
     save_model,
     split_response,
 )
-from partwise.cli import main
+from partwise.cli import _build_parser, main
 from partwise.estimator import FitParams, fit_model, predict
 from partwise.io import document_to_model, dumps_document, model_to_document
 from partwise.simulate import SETTINGS, generate
@@ -132,9 +136,14 @@ class TestModelDocument:
 
 @pytest.fixture(scope="module")
 def saved_model(tmp_path_factory):
-    """A fitted model's document text and a CSV of its predictor rows."""
+    """A fitted model's document text and a CSV of its predictor rows.
+
+    The columns have one-letter names, so a ``columns`` string that a loader
+    split into characters would still name them.
+    """
     rng = np.random.default_rng(11)
-    data = generate(SETTINGS["reg1"], 150, rng, sigma=1.0)
+    drawn = generate(SETTINGS["reg1"], 150, rng, sigma=1.0)
+    data = Dataset(drawn.X, drawn.y, column_names=("a", "b", "c", "d"))
     model = fit_model(data, "regression", FitParams(seed=3)).model
     assert model.config.B > 0
     root = tmp_path_factory.mktemp("saved")
@@ -170,6 +179,14 @@ def _infinite_fit_stat(doc):
     doc["region_fits"][0]["fit_stat"] = float("-inf")
 
 
+def _string_threshold(doc):
+    # The first break has one threshold, so "5" split into characters
+    # would still describe as many regions.
+    name = next(iter(doc["thresholds"]))
+    assert len(doc["thresholds"][name]) == 1
+    doc["thresholds"][name] = "5"
+
+
 CORRUPTIONS = {
     "truncated_json": lambda text: text[: len(text) // 2],
     "not_json": lambda text: "not a model\n",
@@ -195,6 +212,24 @@ CORRUPTIONS = {
     "overflowing_integer_fit_stat": lambda text: _edit(_infinite_fit_stat)(text).replace(
         "-Infinity", "1" + "0" * 400
     ),
+    # Wrongly typed fields that a coercing loader would accept.
+    "string_threshold": _edit(_string_threshold),
+    "string_columns": _edit(lambda d: d.update(columns="".join(d["columns"]))),
+    "string_converged": _edit(lambda d: d.update(converged="false")),
+    "string_stabilized": _edit(lambda d: d["region_fits"][0].update(stabilized="no")),
+    "list_response": _edit(lambda d: d.update(response=[d["response"]])),
+    "boolean_n_obs": _edit(lambda d: d.update(n_obs=True)),
+}
+
+# The field each wrongly typed document must be rejected for, as the error
+# names it.
+MISTYPED_FIELDS = {
+    "string_threshold": "thresholds['a']",
+    "string_columns": "columns",
+    "string_converged": "converged",
+    "string_stabilized": "region fit 0: stabilized",
+    "list_response": "response",
+    "boolean_n_obs": "n_obs",
 }
 
 
@@ -212,6 +247,29 @@ def test_predict_rejects_malformed_document(saved_model, tmp_path, capsys, corru
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("corruption", sorted(MISTYPED_FIELDS))
+def test_mistyped_field_is_named(saved_model, corruption):
+    text, _ = saved_model
+    doc = json.loads(CORRUPTIONS[corruption](text))
+    with pytest.raises(SchemaError) as err:
+        document_to_model(doc)
+    assert str(err.value).startswith(f"{MISTYPED_FIELDS[corruption]} must be ")
+
+
+def test_integer_numbers_load_as_floats(saved_model):
+    # ``.17g`` writes a whole float without a decimal point.
+    text, _ = saved_model
+    doc = json.loads(text)
+    name = next(iter(doc["thresholds"]))
+    doc["thresholds"][name] = [5]
+    doc["region_fits"][0]["fit_stat"] = 12
+    doc["mdl"]["total"] = 90
+    model = document_to_model(doc)
+    assert model.config.breaks[0][1] == (5.0,)
+    assert model.region_fits[0].fit_stat == 12.0
+    assert model.mdl.total == 90.0
+
+
 def test_predict_accepts_uncorrupted_document(saved_model, tmp_path):
     text, csv_path = saved_model
     model_path = tmp_path / "model.json"
@@ -227,10 +285,8 @@ OUT_OF_RANGE = {
     "simulate_n": ["simulate", "--setting", "reg1", "--n", "5", "--trials", "1"],
     "simulate_trials_0": ["simulate", "--setting", "reg1", "--trials", "0"],
     "simulate_trials_negative": ["simulate", "--setting", "reg1", "--trials", "-2"],
-    "omega_nan": ["fit", "--omega", "nan"],
-    "a_nan": ["fit", "--a", "nan"],
-    "c1_inf": ["fit", "--c1", "inf"],
-    "c2_negative_inf": ["fit", "--c2=-inf"],
+    "simulate_sigma_negative": ["simulate", "--setting", "reg1", "--sigma=-1", "--trials", "1"],
+    "simulate_sigma_nan": ["simulate", "--setting", "reg1", "--sigma", "nan", "--trials", "1"],
     "max_iter_0": ["fit", "--max-iter", "0"],
     "max_iter_negative": ["fit", "--max-iter", "-4"],
 }
@@ -328,16 +384,6 @@ def test_fit_with_fewer_rows_than_predictors_exits_2(tmp_path, capsys):
     assert err.startswith("error: 2 rows for 3 predictors")
     assert "Traceback" not in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["0", "-4", "abc"])
-def test_bad_partwise_threads_exits_2(value, monkeypatch, capsys):
-    monkeypatch.setenv("PARTWISE_THREADS", value)
-    code = main(["simulate", "--setting", "reg1", "--trials", "1"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: PARTWISE_THREADS")
-    assert repr(value) in err
 
 
 class TestCli:
@@ -527,11 +573,30 @@ class TestCli:
         )
         assert code == 2
 
-    def test_threads_env_fallback(self, monkeypatch):
-        from partwise.cli import _threads
 
-        monkeypatch.setenv("PARTWISE_THREADS", "3")
-        assert _threads(None) == 3
-        assert _threads(2) == 2
-        monkeypatch.delenv("PARTWISE_THREADS")
-        assert _threads(None) == 1
+def _subcommand_options(name):
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [opt for a in sub.choices[name]._actions for opt in a.option_strings]
+
+
+def test_option_surface():
+    # Every setting a user can change is listed here, so a new knob (or a
+    # removed one) shows up as an edit of this test.
+    assert [f.name for f in dataclasses.fields(BpsoParams)] == ["swarm_size", "max_iter"]
+    assert [f.name for f in dataclasses.fields(FitParams)] == [
+        "max_cp_per_predictor", "min_segment", "swarm", "seed",
+    ]
+    assert _subcommand_options("fit") == [
+        "-h", "--help", "--data", "--response", "--task", "--max-cp-per-predictor",
+        "--min-segment", "--swarm-size", "--max-iter", "--seed", "--delim", "--out",
+    ]
+    assert _subcommand_options("simulate") == [
+        "-h", "--help", "--setting", "--n", "--sigma", "--link", "--trials", "--seed",
+        "--threads", "--out",
+    ]
+
+
+def test_simulate_runs_one_process_by_default():
+    args = _build_parser().parse_args(["simulate", "--setting", "reg1"])
+    assert args.threads == 1

@@ -154,7 +154,7 @@ class TestFinalAdjust:
         c2 = d.midpoint(1, d.snap_cut(1, 39))
         cfg = ChangePointConfig({0: [c1], 1: [c2]})
         scorer = ConfigScorer(d, "regression")
-        final_adjust(d, "regression", cfg, shift_radius=0 or 1, scorer=scorer)
+        final_adjust(d, "regression", cfg, scorer=scorer)
         p1 = (0, d.cut_of_threshold(0, c1))
         p2 = (1, d.cut_of_threshold(1, c2))
         for sub in [(), (p1,), (p2,), (p1, p2)]:
@@ -182,7 +182,7 @@ class TestFinalAdjust:
         cfg = ChangePointConfig({0: [off]})
         scorer = ConfigScorer(d, "regression")
         before = scorer.score_config(cfg).total
-        out = final_adjust(d, "regression", cfg, shift_radius=2, scorer=scorer)
+        out = final_adjust(d, "regression", cfg, scorer=scorer)
         assert out.total <= before
         assert out.key == ((0, (49,)),)
 

@@ -222,7 +222,7 @@ class TestMemoizedSegments:
         monkeypatch.setattr(_RegressionSegments, "stats", counting_stats)
         monkeypatch.setattr(_RegressionSegments, "stat", counting_stat)
         data_1 = Dataset(data.X[:, :1], data.y)
-        got = scan_candidates(data_1, "regression", 3, require_improvement=False)
+        got = scan_candidates(data_1, "regression", 3)
         assert len(got[0]) == 3
         # The whole sample, then three greedy steps of two segments per cut.
         assert len(requested) == 4 and requested[0] == 1

@@ -60,6 +60,13 @@ class TestGenerate:
         with pytest.raises(InputError):
             generate(SETTINGS["reg1"], 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_sigma_out_of_range_rejected(self, sigma):
+        # 0 stays valid: noise-free recovery (test_io_cli's simulate smoke
+        # test) draws with it.
+        with pytest.raises(InputError, match="^sigma must be finite and at least 0"):
+            generate(SETTINGS["reg1"], 60, np.random.default_rng(0), sigma=sigma)
+
 
 def _model_for(setting, data, breaks, masks=None):
     cfg = ChangePointConfig(breaks)
@@ -196,6 +203,15 @@ def test_trial_count_below_one_rejected(trials):
         run_trials("reg1", 120, trials)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_rejected(threads, monkeypatch):
+    import partwise.simulate as simulate
+
+    monkeypatch.setattr(simulate, "run_trial", lambda *a: pytest.fail("a trial ran"))
+    with pytest.raises(InputError, match="^threads must be at least 1"):
+        simulate.run_trials("reg1", 120, 2, threads=threads)
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
     nothing, returning each argument tuple in place of a result."""
@@ -235,6 +251,6 @@ def test_one_trial_runs_without_a_pool(monkeypatch):
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(simulate, "run_trial", lambda *a: a)
     assert simulate.run_trials("reg1", 120, 1, threads=4) == [
-        ("reg1", 120, 1, 0, None, None, None)
+        ("reg1", 120, 1, 0, None, None)
     ]
     assert _RecordingPool.requested == []

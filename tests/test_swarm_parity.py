@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from partwise import BpsoParams, ConfigScorer, Dataset, init_swarm, mutate
-from partwise.bpso import SHIFT_SPAN, _advance, _candidate_pairs, _refresh_gbest
+from partwise.bpso import (
+    A, C1, C2, OMEGA, SHIFT_SPAN, _advance, _candidate_pairs, _refresh_gbest,
+)
 from partwise.refine import _key_from_pairs
 
 
@@ -91,21 +93,20 @@ class DenseSwarm:
         self.gbest = [self.pbest[g][0].copy(), self.pbest[g][1], self.pbest[g][2]]
 
     def advance(self, iteration):
-        p = self.params
         gb = self.gbest[0]
         for i, (bits, _, _) in enumerate(self.particles):
             pb = self.pbest[i][0]
             rng = _rng(self.seed, 1, iteration, i)
             r = rng.random((2,) + bits.shape)
             inner = (
-                p.omega * self.velocities[i]
-                + p.c1 * r[0] * (pb.astype(np.float64) - bits.astype(np.float64))
-                + p.c2 * r[1] * (gb.astype(np.float64) - bits.astype(np.float64))
+                OMEGA * self.velocities[i]
+                + C1 * r[0] * (pb.astype(np.float64) - bits.astype(np.float64))
+                + C2 * r[1] * (gb.astype(np.float64) - bits.astype(np.float64))
             )
             v = 1.0 / (1.0 + np.exp(-np.abs(inner)))
             self.velocities[i] = v
-            band = 0.5 * (1.0 + p.a)
-            new = np.where(v <= p.a, bits, np.where(v <= band, pb, gb))
+            band = 0.5 * (1.0 + A)
+            new = np.where(v <= A, bits, np.where(v <= band, pb, gb))
             moved = make(new, rng, self.scorer)
             self.particles[i] = moved
             if moved[2] < self.pbest[i][2]:
@@ -185,8 +186,8 @@ def assert_same(sparse, dense, data):
 
 
 def parity_case(seed):
-    """A small dataset with a tied predictor, a candidate set and swarm
-    parameters.  Candidates are clustered a few positions apart, so the full
+    """A small dataset with a tied predictor, a candidate set and a swarm
+    size.  Candidates are clustered a few positions apart, so the full
     candidate key and many of its subsets hold regions of fewer than P rows
     and must be repaired."""
     rng = np.random.default_rng([seed, 23])
@@ -207,14 +208,6 @@ def parity_case(seed):
         picked = rng.choice(near, size=min(near.size, int(rng.integers(1, 5))), replace=False)
         candidates[j] = [data.midpoint(j, int(c)) for c in np.sort(picked)]
     params = BpsoParams(swarm_size=int(rng.integers(3, 14)))
-    if seed % 2:
-        params = BpsoParams(
-            swarm_size=params.swarm_size,
-            omega=float(rng.uniform(0.3, 1.2)),
-            c1=float(rng.uniform(0.5, 2.5)),
-            c2=float(rng.uniform(0.5, 2.5)),
-            a=float(rng.uniform(0.3, 0.7)),
-        )
     return data, candidates, params
 
 

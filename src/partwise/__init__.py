@@ -16,7 +16,6 @@ _HOMES = {
     "partwise.bpso": (
         "BpsoParams",
         "BpsoResult",
-        "Particle",
         "SwarmState",
         "init_swarm",
         "mutate",

@@ -2,18 +2,20 @@
 
 The search space is P-by-n bit matrices: bit ``(j, k)`` set means a cut at
 position ``k`` of predictor ``j``, between its k-th and (k+1)-th order
-statistics.  A particle is stored as its key, the sorted cut positions of
-each predictor, never as a matrix.  ``ConfigScorer.score_key`` scores a
-key or rejects it as infeasible in one pass over the rows, and a rejected
-key is repaired by dropping random cuts.  Threshold values
-(``min <= t < max``) are built only for the configuration a key describes.
-Velocity updates squash through a sigmoid of an absolute value, so
-velocities live in ``[0.5, 1)``; position updates copy bits from the
-particle itself, its pbest, or the global best depending on which velocity
-band is hit.  Elitist mutation clones the best tenth of the swarm over the
-worst tenth each iteration, and the search stops once the global best score
-is unchanged for five consecutive iterations (``STALL_ITERS``), as in the
-paper, or after ``max_iter`` iterations.
+statistics.  A particle is a key, the sorted cut positions of each
+predictor, never a matrix.  The swarm holds each particle, pbest and the
+global best as the scorer's cached ``ScoredConfig`` of its key, compared by
+``.total``, and returns the global best's without scoring it again.
+``ConfigScorer.score_key`` scores a key or rejects it as infeasible in one
+pass over the rows, and a rejected key is repaired by dropping random cuts.
+Threshold values (``min <= t < max``) are built only for the configuration
+a key describes.  Velocity updates squash through a sigmoid of an absolute
+value, so velocities live in ``[0.5, 1)``; position updates copy bits from
+the particle itself, its pbest, or the global best depending on which
+velocity band is hit.  Elitist mutation clones the best tenth of the swarm
+over the worst tenth each iteration, and the search stops once the global
+best score is unchanged for five consecutive iterations (``STALL_ITERS``),
+as in the paper, or after ``max_iter`` iterations.
 
 Velocities are sparse.  Where a particle, its pbest and the global best
 agree, both difference terms of the velocity update are exactly zero, so
@@ -34,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ChangePointConfig, Dataset, InputError
+from .model import Dataset, InputError
 from .refine import ConfigScorer, ScoredConfig, _key_from_pairs
 
 SHIFT_SPAN = 3  # random bit adjustments are drawn from {-3, ..., +3}
@@ -55,30 +57,22 @@ class BpsoParams:
     max_iter: int = 200
 
 
-@dataclass(frozen=True)
-class Particle:
-    """A feasible key (per predictor, its ascending cut positions) and its score."""
-
-    key: tuple
-    score: float
-
-
 @dataclass
 class SwarmState:
     """Particles, their bests, and their sparse velocities.
 
+    Particles and bests are the scorer's ``ScoredConfig``s of feasible keys.
     ``velocities[i]`` maps the flat position ``j * n + pos`` to particle
     ``i``'s velocity there.  It holds every position where the particle,
     its pbest and the global best have disagreed at some iteration; every
     other position of every particle has velocity ``rest_velocity``.
     """
 
-    particles: list[Particle]
-    pbest: list[Particle]
-    gbest: Particle
+    particles: list[ScoredConfig]
+    pbest: list[ScoredConfig]
+    gbest: ScoredConfig
     velocities: list[dict[int, float]]
     rest_velocity: float = 0.0
-    stall_count: int = 0
 
     @property
     def size(self) -> int:
@@ -87,12 +81,9 @@ class SwarmState:
 
 @dataclass
 class BpsoResult:
-    config: ChangePointConfig
-    key: tuple
-    score: float
+    scored: ScoredConfig
     converged: bool
     iterations: int
-    scored: ScoredConfig
 
 
 def _rng(seed: int, stream: int, iteration: int, index: int) -> np.random.Generator:
@@ -144,18 +135,6 @@ def _flat_of_key(key: tuple, n: int) -> set[int]:
     return {j * n + p for j, ps in key for p in ps}
 
 
-def _repair(
-    cuts: list[tuple[int, int]], scorer: ConfigScorer, rng: np.random.Generator
-) -> ScoredConfig:
-    """Drop random cuts from the sorted list until its key is feasible;
-    return that key's score."""
-    while True:
-        scored = scorer.score_key(_key_from_pairs(cuts))
-        if scored is not None:
-            return scored
-        del cuts[int(rng.integers(len(cuts)))]
-
-
 def _set_snapped(cuts: set, data: Dataset, j: int, pos: int) -> None:
     snapped = data.snap_cut(j, pos)
     if snapped is not None:
@@ -164,9 +143,15 @@ def _set_snapped(cuts: set, data: Dataset, j: int, pos: int) -> None:
 
 def _make_particle(
     cuts: Iterable[tuple[int, int]], rng, scorer: ConfigScorer
-) -> Particle:
-    scored = _repair(sorted(cuts), scorer, rng)
-    return Particle(key=scored.key, score=scored.total)
+) -> ScoredConfig:
+    """The scored key of ``cuts``, after dropping random cuts until it is
+    feasible."""
+    cuts = sorted(cuts)
+    while True:
+        scored = scorer.score_key(_key_from_pairs(cuts))
+        if scored is not None:
+            return scored
+        del cuts[int(rng.integers(len(cuts)))]
 
 
 def init_swarm(
@@ -208,7 +193,7 @@ def init_swarm(
                     if k:
                         _set_snapped(cuts, data, j, pos + int(off))
             particles.append(_make_particle(cuts, rng, scorer))
-    g = min(range(len(particles)), key=lambda i: (particles[i].score, i))
+    g = min(range(len(particles)), key=lambda i: (particles[i].total, i))
     return SwarmState(
         particles=particles,
         pbest=list(particles),
@@ -263,7 +248,6 @@ def mutate(
     swarm: SwarmState,
     data: Dataset,
     pairs: list[tuple[int, int]],
-    params: BpsoParams,
     seed: int,
     iteration: int,
     scorer: ConfigScorer,
@@ -277,7 +261,7 @@ def mutate(
     """
     N = swarm.size
     k = math.ceil(N / 10)
-    order = sorted(range(N), key=lambda i: (swarm.particles[i].score, i))
+    order = sorted(range(N), key=lambda i: (swarm.particles[i].total, i))
     best_idx = order[:k]
     worst_idx = order[::-1][:k]
     for rank, src in enumerate(best_idx):
@@ -286,7 +270,7 @@ def mutate(
         mutant = _make_particle(cuts, rng, scorer)
         slot = worst_idx[rank]
         swarm.particles[slot] = mutant
-        if mutant.score < swarm.pbest[slot].score:
+        if mutant.total < swarm.pbest[slot].total:
             swarm.pbest[slot] = mutant
 
 
@@ -312,7 +296,6 @@ def _draws(
 def _advance(
     swarm: SwarmState,
     data: Dataset,
-    params: BpsoParams,
     seed: int,
     iteration: int,
     scorer: ConfigScorer,
@@ -354,7 +337,7 @@ def _advance(
         cuts = [divmod(f, n) for f in agree.union(f for f, b in zip(at, bits) if b)]
         moved = _make_particle(cuts, rng, scorer)
         swarm.particles[i] = moved
-        if moved.score < pbest.score:
+        if moved.total < pbest.total:
             swarm.pbest[i] = moved
     # The rest velocity takes the update of a position where all three
     # agree: both difference terms are exactly zero whatever r1 and r2.  It
@@ -366,8 +349,8 @@ def _advance(
 
 
 def _refresh_gbest(swarm: SwarmState) -> None:
-    g = min(range(swarm.size), key=lambda i: (swarm.pbest[i].score, i))
-    if swarm.pbest[g].score < swarm.gbest.score:
+    g = min(range(swarm.size), key=lambda i: (swarm.pbest[i].total, i))
+    if swarm.pbest[g].total < swarm.gbest.total:
         swarm.gbest = swarm.pbest[g]
 
 
@@ -396,27 +379,15 @@ def run_bpso(
     pairs = _candidate_pairs(data, candidates)
     swarm = init_swarm(data, candidates, params, seed, scorer)
     converged = False
-    iterations = 0
+    iterations = stall = 0
     for t in range(1, params.max_iter + 1):
         iterations = t
-        prev = swarm.gbest.score
-        _advance(swarm, data, params, seed, t, scorer)
-        mutate(swarm, data, pairs, params, seed, t, scorer)
+        prev = swarm.gbest.total
+        _advance(swarm, data, seed, t, scorer)
+        mutate(swarm, data, pairs, seed, t, scorer)
         _refresh_gbest(swarm)
-        if prev - swarm.gbest.score <= STALL_TOL:
-            swarm.stall_count += 1
-        else:
-            swarm.stall_count = 0
-        if swarm.stall_count >= STALL_ITERS:
+        stall = stall + 1 if prev - swarm.gbest.total <= STALL_TOL else 0
+        if stall >= STALL_ITERS:
             converged = True
             break
-    key = swarm.gbest.key
-    scored = scorer.score_key(key)
-    return BpsoResult(
-        config=scored.config,
-        key=key,
-        score=swarm.gbest.score,
-        converged=converged,
-        iterations=iterations,
-        scored=scored,
-    )
+    return BpsoResult(scored=swarm.gbest, converged=converged, iterations=iterations)

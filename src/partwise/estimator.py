@@ -90,7 +90,7 @@ def fit_model(
     # Iterate the adjustment to a fixpoint: each pass only shifts around the
     # positions it was handed, so chained moves need repeated passes.  The
     # score strictly decreases across passes, which bounds the loop.
-    best = scorer.score_key(result.key)
+    best = result.scored
     for _ in range(50):
         adj = final_adjust(data, task, best.config, scorer=scorer)
         if adj.key == best.key:

@@ -24,6 +24,7 @@ from .model import (
     InputError,
     RegionFit,
     SchemaError,
+    TASK_REGRESSION,
     TASKS,
 )
 
@@ -350,7 +351,9 @@ def _list_of(check, value, where: str) -> list:
 def document_to_model(doc: dict) -> FittedModel:
     """Rebuild a model from its document; a malformed one raises SchemaError.
 
-    Every field must have its JSON type: nothing is coerced.
+    Every field must have its JSON type: nothing is coerced.  ``n_obs`` must
+    lie in ``[1, 2**63 - 1]``, and ``sigma2_hat`` must be a finite positive
+    number in a regression model and null in a classification one.
     """
     _require(doc, _DOCUMENT_KEYS, "model document")
     if doc["version"] != DOCUMENT_VERSION:
@@ -362,6 +365,20 @@ def document_to_model(doc: dict) -> FittedModel:
     n_obs = doc["n_obs"]
     if isinstance(n_obs, bool) or not isinstance(n_obs, int):
         raise SchemaError(f"n_obs must be an integer, got {n_obs!r}")
+    if not 1 <= n_obs <= 2**63 - 1:
+        raise SchemaError(f"n_obs must be between 1 and 2**63 - 1, got {n_obs}")
+    sigma2 = doc["sigma2_hat"]
+    if doc["task"] == TASK_REGRESSION:
+        sigma2 = _number(sigma2, "sigma2_hat")
+        if not (math.isfinite(sigma2) and sigma2 > 0.0):
+            raise SchemaError(
+                f"sigma2_hat must be finite and positive in a regression "
+                f"model, got {sigma2!r}"
+            )
+    elif sigma2 is not None:
+        raise SchemaError(
+            f"sigma2_hat must be null in a {doc['task']} model, got {sigma2!r}"
+        )
     columns = tuple(_list_of(_text, doc["columns"], "columns"))
     thresholds = doc["thresholds"]
     _require(thresholds, (), "thresholds")
@@ -408,7 +425,6 @@ def document_to_model(doc: dict) -> FittedModel:
     m = doc["mdl"]
     _require(m, _MDL_KEYS, "mdl breakdown")
     mdl = MdlBreakdown(**{k: _number(m[k], f"mdl {k}") for k in _MDL_KEYS})
-    sigma2 = doc["sigma2_hat"]
     return FittedModel(
         task=doc["task"],
         config=config,
@@ -416,7 +432,7 @@ def document_to_model(doc: dict) -> FittedModel:
         response_name=_text(doc["response"], "response"),
         region_fits=fits,
         mdl=mdl,
-        sigma2_hat=None if sigma2 is None else _number(sigma2, "sigma2_hat"),
+        sigma2_hat=sigma2,
         converged=_flag(doc["converged"], "converged"),
         n_obs=n_obs,
     )
@@ -440,11 +456,13 @@ def load_model(path: str) -> FittedModel:
     """Read a model document; invalid JSON or a malformed document raises SchemaError.
 
     ``save_model`` writes only finite numbers, so ``NaN``, ``Infinity``,
-    ``-Infinity`` and numbers that overflow a double are rejected too.
+    ``-Infinity`` and numbers that overflow a double are rejected too.  So
+    is an integer longer than Python's integer string limit (4,300 digits
+    by default), which ``json`` refuses with a ValueError.
     """
     with open(path) as fh:
         try:
             doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
             raise SchemaError(f"{path}: not a JSON model document: {exc}") from None
     return document_to_model(doc)

@@ -8,9 +8,10 @@ only predicts loads neither the search nor ``scipy.linalg``.
 
 A partition is computed from cut positions: ``_region_index`` compares
 ``Dataset.rank`` with them, one comparison of every row per cut, and
-``partition_grid`` builds the grid from the region indices and counts,
-with one stable sort of the indices narrowed to the smallest unsigned type
-that holds them.  Threshold values (``min <= t < max`` on their
+``partition_grid`` builds the grid from the region indices and counts.
+The grid gathers no rows: the search gathers a region's rows only when it
+fits that region, and ``PartitionGrid.memberships`` sorts them out of the
+region indices on demand.  Threshold values (``min <= t < max`` on their
 predictor) enter through ``induce_partition``, which maps them to cut
 positions, and through ``assign_regions``, which places new rows.
 """
@@ -239,10 +240,6 @@ class ChangePointConfig:
         return ()
 
     @property
-    def num_change_points(self) -> int:
-        return sum(len(ts) for _, ts in self.breaks)
-
-    @property
     def num_regions(self) -> int:
         r = 1
         for _, ts in self.breaks:
@@ -251,9 +248,6 @@ class ChangePointConfig:
 
     def as_dict(self) -> dict[int, tuple[float, ...]]:
         return {j: ts for j, ts in self.breaks}
-
-
-EMPTY_CONFIG = ChangePointConfig({})
 
 
 def _region_index(breaks, columns: np.ndarray) -> np.ndarray:
@@ -292,13 +286,19 @@ class PartitionGrid:
     thresholds: tuple[tuple[float, ...], ...]
     R: int
     region_of: np.ndarray
-    memberships: tuple[np.ndarray, ...]
     region_counts: np.ndarray
     segment_counts: tuple[np.ndarray, ...]
 
     @property
     def n(self) -> int:
         return int(self.region_of.shape[0])
+
+    @property
+    def memberships(self) -> tuple[np.ndarray, ...]:
+        """Per region, its rows in ascending order, sorted out of
+        ``region_of`` on each access."""
+        by_region = np.argsort(self.region_of, kind="stable")
+        return tuple(np.split(by_region, np.cumsum(self.region_counts)[:-1]))
 
     def segments_of_region(self, r: int) -> tuple[int, ...]:
         """Per break predictor, the 1-D segment index of region ``r``."""
@@ -350,15 +350,6 @@ def partition_grid(
     """The grid of ``config``, given each row's region index and the count
     of rows in each region."""
     shape = tuple(len(ts) + 1 for _, ts in config.breaks)
-    R = math.prod(shape)
-    # The stable sort radix-sorts 8- and 16-bit keys; the permutation is the
-    # one int64 keys give, so each membership stays in ascending row order.
-    by_region = np.argsort(
-        region_of.astype(np.min_scalar_type(R - 1)), kind="stable"
-    )
-    memberships = tuple(
-        np.split(by_region, np.cumsum(region_counts)[:-1])
-    )
     # Region r's segment on break b is digit b of r, first break fastest.
     cube = region_counts.reshape(shape, order="F")
     axes = range(len(shape))
@@ -368,9 +359,8 @@ def partition_grid(
     return PartitionGrid(
         break_predictors=config.break_predictors,
         thresholds=tuple(ts for _, ts in config.breaks),
-        R=R,
+        R=math.prod(shape),
         region_of=_readonly(region_of),
-        memberships=memberships,
         region_counts=_readonly(region_counts),
         segment_counts=segment_counts,
     )
@@ -461,12 +451,6 @@ class FittedModel:
                 f"{len(self.region_fits)} fits for "
                 f"{self.config.num_regions} regions"
             )
-
-    @property
-    def thresholds_by_name(self) -> dict[str, tuple[float, ...]]:
-        return {
-            self.column_names[j]: ts for j, ts in self.config.breaks
-        }
 
 
 def link_inverse(task: str, t: np.ndarray) -> np.ndarray:

@@ -11,11 +11,14 @@ around a search solution and returns the best.
 
 ``ConfigScorer`` wraps partition induction + feature selection + MDL into a
 single memoized evaluation, keyed by cut positions, so search loops never
-score the same configuration twice.  Region mask menus are memoized too,
-keyed by the packed bitmap of the region's rows.  Its ``score_key`` is also
-the one feasibility gate of the search: a key some region of which holds
-fewer than P rows scores None, decided in the same pass over the rows that
-would build its partition.  Threshold values are built only for the
+score the same configuration twice.  The cached ``ScoredConfig`` is the
+search's only record of a scored key: the swarm holds it and
+``final_adjust`` returns it.  Region mask menus are memoized too, keyed by
+the packed bitmap of the region's rows, and a region's rows are gathered
+only when its menu is built.  Its ``score_key`` is also the one
+feasibility gate of the search: a key some region of which holds fewer
+than P rows scores None, decided in the same pass over the rows that would
+build its partition.  Threshold values are built only for the
 configuration a key describes.
 """
 
@@ -219,8 +222,9 @@ def select_features(
 
     ``region_cache`` lets callers reuse the per-mask fit menus across
     configurations that share regions.  It is keyed by region membership:
-    the packed bitmap of the region's rows, n/8 bytes, which is exact.  A
-    single-class region's menu is its one intercept fit, so it never moves.
+    the packed bitmap of the region's rows, n/8 bytes, which is exact.  The
+    rows themselves are gathered only on a miss.  A single-class region's
+    menu is its one intercept fit, so it never moves.
     """
     n_params = data.P + 1
     exhaustive = n_params <= EXHAUSTIVE_MASK_LIMIT
@@ -229,12 +233,14 @@ def select_features(
 
     menus = []
     half_log2n = []
-    for r, rows in enumerate(grid.memberships):
-        half_log2n.append(0.5 * math.log2(rows.size))
-        ck = np.packbits(grid.region_of == r).tobytes()
+    for r, count in enumerate(grid.region_counts.tolist()):
+        half_log2n.append(0.5 * math.log2(count))
+        in_r = grid.region_of == r
+        ck = np.packbits(in_r).tobytes()
         menu = region_cache.get(ck)
         if menu is None:
-            menu = _region_menu(RegionDesign(data, rows, task), n_params, exhaustive)
+            design = RegionDesign(data, np.flatnonzero(in_r), task)
+            menu = _region_menu(design, n_params, exhaustive)
             region_cache[ck] = menu
         menus.append(menu)
 
@@ -356,9 +362,6 @@ class ConfigScorer:
             self.evaluations += 1
         self._cache[key] = scored
         return scored
-
-    def score_config(self, config: ChangePointConfig) -> ScoredConfig | None:
-        return self.score_key(self.key_of_config(config))
 
 
 def final_adjust(

@@ -111,7 +111,7 @@ def test_criterion_2_exhaustive_search_oracle():
                 if scorer.score_key(key) is not None:
                     best = min(best, scorer.score_key(key).total)
         res = run_bpso(data, "regression", cands, BpsoParams(), seed=seed, scorer=scorer)
-        adj = final_adjust(data, "regression", res.config, scorer=scorer)
+        adj = final_adjust(data, "regression", res.scored.config, scorer=scorer)
         if abs(adj.total - best) <= 1e-9:
             attained += 1
         elif adj.total < best - 1e-9:
@@ -261,14 +261,14 @@ def test_criterion_7_property_suites():
         scorer = ConfigScorer(data, "regression")
         params = BpsoParams(swarm_size=20)
         swarm = bpso_mod.init_swarm(data, cands, params, seed=11, scorer=scorer)
-        path = [swarm.gbest.score]
+        path = [swarm.gbest.total]
         for t in range(1, 10):
-            bpso_mod._advance(swarm, data, params, 11, t, scorer)
-            mutate(swarm, data, pairs, params, seed=11, iteration=t, scorer=scorer)
+            bpso_mod._advance(swarm, data, 11, t, scorer)
+            mutate(swarm, data, pairs, seed=11, iteration=t, scorer=scorer)
             bpso_mod._refresh_gbest(swarm)
-            path.append(swarm.gbest.score)
+            path.append(swarm.gbest.total)
         assert all(b <= a + 1e-12 for a, b in zip(path, path[1:]))
-        outcomes.add((swarm.gbest.key, round(swarm.gbest.score, 12)))
+        outcomes.add((swarm.gbest.key, round(swarm.gbest.total, 12)))
     assert len(outcomes) == 1
     notes.append("gbest monotone + deterministic (20 runs) ok")
 

@@ -150,7 +150,7 @@ class TestMutate:
         d, cands, scorer, swarm = self._swarm(N=10)
         pairs = _candidate_pairs(d, cands)
         before = [p.key for p in swarm.particles]
-        mutate(swarm, d, pairs, BpsoParams(swarm_size=10), seed=0, iteration=1, scorer=scorer)
+        mutate(swarm, d, pairs, seed=0, iteration=1, scorer=scorer)
         after = [p.key for p in swarm.particles]
         assert sum(a != b for a, b in zip(before, after)) <= 1
 
@@ -158,19 +158,59 @@ class TestMutate:
         for seed in range(6):
             d, cands, scorer, swarm = self._swarm(seed=seed, N=10)
             pairs = _candidate_pairs(d, cands)
-            g0 = swarm.gbest.score
-            mutate(swarm, d, pairs, BpsoParams(swarm_size=10), seed=seed, iteration=1, scorer=scorer)
+            g0 = swarm.gbest.total
+            mutate(swarm, d, pairs, seed=seed, iteration=1, scorer=scorer)
             bpso_mod._refresh_gbest(swarm)
-            assert swarm.gbest.score <= g0 + 1e-12
+            assert swarm.gbest.total <= g0 + 1e-12
             for p in swarm.particles:
                 assert scorer.score_key(p.key) is not None
+
+
+class TestScoredRecords:
+    """The swarm's one record of a scored key is the scorer's cached object."""
+
+    def _case(self):
+        d = step_data(3)
+        cands = {0: [d.midpoint(0, int(c)) for c in d.cut_positions(0)[[8, 22]]],
+                 1: [d.midpoint(1, int(d.cut_positions(1)[15]))]}
+        return d, cands
+
+    def test_particles_and_bests_are_cached_objects(self):
+        d, cands = self._case()
+        scorer = ConfigScorer(d, "regression")
+        swarm = init_swarm(d, cands, BpsoParams(swarm_size=12), seed=5, scorer=scorer)
+        pairs = _candidate_pairs(d, cands)
+        for t in range(1, 5):
+            for p in swarm.particles + swarm.pbest + [swarm.gbest]:
+                assert scorer.score_key(p.key) is p
+            bpso_mod._advance(swarm, d, 5, t, scorer)
+            mutate(swarm, d, pairs, seed=5, iteration=t, scorer=scorer)
+            bpso_mod._refresh_gbest(swarm)
+        for p in swarm.particles + swarm.pbest + [swarm.gbest]:
+            assert scorer.score_key(p.key) is p
+
+    def test_result_is_the_swarms_gbest(self, monkeypatch):
+        d, cands = self._case()
+        swarms = []
+        init = bpso_mod.init_swarm
+
+        def recording_init(*args, **kwargs):
+            swarms.append(init(*args, **kwargs))
+            return swarms[-1]
+
+        monkeypatch.setattr(bpso_mod, "init_swarm", recording_init)
+        scorer = ConfigScorer(d, "regression")
+        res = run_bpso(d, "regression", cands, BpsoParams(swarm_size=12), seed=5, scorer=scorer)
+        assert len(swarms) == 1
+        assert res.scored is swarms[0].gbest
+        assert scorer.score_key(res.scored.key) is res.scored
 
 
 class TestRunBpso:
     def test_empty_candidates_quick_exit(self):
         d = step_data()
         res = run_bpso(d, "regression", {}, BpsoParams(), seed=0)
-        assert res.config.B == 0
+        assert res.scored.config.B == 0
         assert res.converged
         assert res.iterations <= 6
 
@@ -185,12 +225,12 @@ class TestRunBpso:
             params = BpsoParams(swarm_size=12)
             swarm = init_swarm(d, cands, params, seed=5, scorer=scorer)
             pairs = _candidate_pairs(d, cands)
-            g = [swarm.gbest.score]
+            g = [swarm.gbest.total]
             for t in range(1, 8):
-                bpso_mod._advance(swarm, d, params, 5, t, scorer)
-                mutate(swarm, d, pairs, params, seed=5, iteration=t, scorer=scorer)
+                bpso_mod._advance(swarm, d, 5, t, scorer)
+                mutate(swarm, d, pairs, seed=5, iteration=t, scorer=scorer)
                 bpso_mod._refresh_gbest(swarm)
-                g.append(swarm.gbest.score)
+                g.append(swarm.gbest.total)
             assert all(b <= a + 1e-12 for a, b in zip(g, g[1:]))
             scores.append(tuple(g))
             keys.append(swarm.gbest.key)
@@ -204,7 +244,7 @@ class TestRunBpso:
         full_key = _key_from_pairs(_candidate_pairs(d, cands))
         res = run_bpso(d, "regression", cands, BpsoParams(swarm_size=8), seed=2, scorer=scorer)
         if scorer.score_key(full_key) is not None:
-            assert res.score <= scorer.score_key(full_key).total + 1e-12
+            assert res.scored.total <= scorer.score_key(full_key).total + 1e-12
 
     def test_every_scored_particle_satisfies_constraint(self):
         d = step_data(6)
@@ -214,7 +254,7 @@ class TestRunBpso:
         for key, scored in scorer._cache.items():
             if scored is not None:
                 assert induce_partition(d, scored.config).region_counts.min() >= d.P
-        assert scorer.score_key(res.key) is not None
+        assert scorer.score_key(res.scored.key) is not None
 
     def test_tiny_exhaustive_oracle_smoke(self):
         # full 100-instance version lives in the acceptance suite
@@ -240,6 +280,6 @@ class TestRunBpso:
                     if scorer.score_key(key) is not None:
                         best = min(best, scorer.score_key(key).total)
             res = run_bpso(d, "regression", cands, BpsoParams(), seed=seed, scorer=scorer)
-            adj = final_adjust(d, "regression", res.config, scorer=scorer)
+            adj = final_adjust(d, "regression", res.scored.config, scorer=scorer)
             assert adj.total >= best - 1e-9
             assert adj.total == pytest.approx(best, abs=1e-9)

@@ -161,6 +161,16 @@ def _edit(change):
     return corrupt
 
 
+def _edit_text(old, new):
+    # For values json.dumps cannot write, such as an integer past Python's
+    # string conversion limit, which json.load refuses.
+    def corrupt(text):
+        assert text.count(old) == 1
+        return text.replace(old, new)
+
+    return corrupt
+
+
 def _rename_threshold_column(doc):
     name = next(iter(doc["thresholds"]))
     doc["thresholds"]["nope"] = doc["thresholds"].pop(name)
@@ -219,10 +229,21 @@ CORRUPTIONS = {
     "string_stabilized": _edit(lambda d: d["region_fits"][0].update(stabilized="no")),
     "list_response": _edit(lambda d: d.update(response=[d["response"]])),
     "boolean_n_obs": _edit(lambda d: d.update(n_obs=True)),
+    # Well-typed values that no fit writes.
+    "zero_n_obs": _edit(lambda d: d.update(n_obs=0)),
+    "negative_n_obs": _edit(lambda d: d.update(n_obs=-150)),
+    "n_obs_past_int64": _edit(lambda d: d.update(n_obs=2**63)),
+    "huge_n_obs": _edit(lambda d: d.update(n_obs=10**400)),
+    "n_obs_past_digit_limit": _edit_text('"n_obs": 150', '"n_obs": 1' + "0" * 5000),
+    "null_regression_sigma2": _edit(lambda d: d.update(sigma2_hat=None)),
+    "zero_regression_sigma2": _edit(lambda d: d.update(sigma2_hat=0.0)),
+    "negative_regression_sigma2": _edit(lambda d: d.update(sigma2_hat=-1.5)),
+    "logistic_with_sigma2": _edit(lambda d: d.update(task="logistic")),
+    "probit_with_sigma2": _edit(lambda d: d.update(task="probit")),
 }
 
-# The field each wrongly typed document must be rejected for, as the error
-# names it.
+# The field each wrongly typed or out-of-range document must be rejected
+# for, as the error names it.
 MISTYPED_FIELDS = {
     "string_threshold": "thresholds['a']",
     "string_columns": "columns",
@@ -230,6 +251,15 @@ MISTYPED_FIELDS = {
     "string_stabilized": "region fit 0: stabilized",
     "list_response": "response",
     "boolean_n_obs": "n_obs",
+    "zero_n_obs": "n_obs",
+    "negative_n_obs": "n_obs",
+    "n_obs_past_int64": "n_obs",
+    "huge_n_obs": "n_obs",
+    "null_regression_sigma2": "sigma2_hat",
+    "zero_regression_sigma2": "sigma2_hat",
+    "negative_regression_sigma2": "sigma2_hat",
+    "logistic_with_sigma2": "sigma2_hat",
+    "probit_with_sigma2": "sigma2_hat",
 }
 
 

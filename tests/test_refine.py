@@ -131,7 +131,7 @@ class TestSelectFeatures:
 class TestFinalAdjust:
     def _scored(self, d, cfg, task="regression"):
         scorer = ConfigScorer(d, task)
-        return scorer, scorer.score_config(cfg)
+        return scorer, scorer.score_key(scorer.key_of_config(cfg))
 
     def test_no_change_points_identity(self):
         d = random_dataset(6, n=60, P=2)
@@ -181,7 +181,7 @@ class TestFinalAdjust:
         off = d.midpoint(0, d.snap_cut(0, 47))  # two positions left of truth
         cfg = ChangePointConfig({0: [off]})
         scorer = ConfigScorer(d, "regression")
-        before = scorer.score_config(cfg).total
+        before = scorer.score_key(scorer.key_of_config(cfg)).total
         out = final_adjust(d, "regression", cfg, scorer=scorer)
         assert out.total <= before
         assert out.key == ((0, (49,)),)

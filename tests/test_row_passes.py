@@ -1,12 +1,13 @@
 """The per-row passes of the search against the forms they replaced.
 
 Each pass over all n rows has a cheaper form: compare-and-count region
-indices, a stable sort on the narrowest unsigned key type, designs gathered
-from ``Dataset.design``, packed-bitmap region keys, and a regression scan
-that keeps prefix and suffix segment statistics.  The references kept here
-are the earlier forms (searchsorted region indices, an int64 stable sort,
-a design built column by column, and a fresh solve of every segment), and
-every comparison is bitwise.
+indices, a region's rows gathered only when its menu is built, designs
+gathered from ``Dataset.design``, packed-bitmap region keys, and a
+regression scan that keeps prefix and suffix segment statistics.  The
+references kept here are the earlier forms (searchsorted region indices,
+an int64 stable sort of every key's region indices, a design built column
+by column, and a fresh solve of every segment), and every comparison is
+bitwise.
 """
 
 import math
@@ -14,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import partwise.refine as refine_mod
 from partwise import ChangePointConfig, Dataset, select_features
 from partwise.fitting import full_design
 from partwise.model import _region_index, induce_partition, partition_grid
@@ -159,6 +161,28 @@ class TestRegionKeys:
         select_features(data, "regression", b, region_cache=cache)
         assert len(cache) == 2
         assert all(cache[k] is menus[k] for k in menus)
+
+    def test_rows_are_gathered_only_for_built_menus(self, monkeypatch):
+        data = self._data()
+        gathered = []
+        design = refine_mod.RegionDesign
+
+        def recording_design(data, rows, task):
+            gathered.append(rows)
+            return design(data, rows, task)
+
+        monkeypatch.setattr(refine_mod, "RegionDesign", recording_design)
+        cache = {}
+        a = self._grid(data, 0, 19)
+        select_features(data, "regression", a, region_cache=cache)
+        want = int64_memberships(a.region_of, a.region_counts)
+        assert len(gathered) == len(want) == 2
+        for got, ref in zip(gathered, want):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref)
+        # The same row sets under another predictor hit the cache.
+        select_features(data, "regression", self._grid(data, 1, 19), region_cache=cache)
+        assert len(gathered) == 2
 
     def test_different_rows_of_the_same_size_get_different_keys(self):
         data = self._data()

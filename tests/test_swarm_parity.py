@@ -6,7 +6,7 @@ The reference kept here holds every particle, pbest and gbest as a
 stores keys, velocities only where they can differ from the shared rest
 velocity, and reads the draws it needs by jump-ahead.  Both must give the
 same keys, scores, bests and velocities bit for bit, on data with ties and
-on candidate sets whose keys ``_repair`` has to shrink.
+on candidate sets whose keys ``_make_particle`` has to shrink.
 """
 
 import math
@@ -176,12 +176,12 @@ def dense_velocities(swarm, data):
 
 def assert_same(sparse, dense, data):
     assert [p.key for p in sparse.particles] == [p[1] for p in dense.particles]
-    assert [p.score for p in sparse.particles] == [p[2] for p in dense.particles]
+    assert [p.total for p in sparse.particles] == [p[2] for p in dense.particles]
     for p in dense.particles:
         assert key_of_bits(p[0]) == p[1]
     assert [p.key for p in sparse.pbest] == [p[1] for p in dense.pbest]
-    assert [p.score for p in sparse.pbest] == [p[2] for p in dense.pbest]
-    assert (sparse.gbest.key, sparse.gbest.score) == (dense.gbest[1], dense.gbest[2])
+    assert [p.total for p in sparse.pbest] == [p[2] for p in dense.pbest]
+    assert (sparse.gbest.key, sparse.gbest.total) == (dense.gbest[1], dense.gbest[2])
     assert dense_velocities(sparse, data).tobytes() == dense.velocities.tobytes()
 
 
@@ -219,10 +219,10 @@ def run_both(data, candidates, params, seed, iterations):
     assert_same(sparse, dense, data)
     pairs = _candidate_pairs(data, candidates)
     for t in range(1, iterations + 1):
-        _advance(sparse, data, params, seed, t, sparse_scorer)
+        _advance(sparse, data, seed, t, sparse_scorer)
         dense.advance(t)
         assert_same(sparse, dense, data)
-        mutate(sparse, data, pairs, params, seed, t, sparse_scorer)
+        mutate(sparse, data, pairs, seed, t, sparse_scorer)
         dense.mutate(t)
         _refresh_gbest(sparse)
         dense.refresh()

@@ -1,11 +1,14 @@
 """Per-region feature selection and post-search adjustment.
 
-``select_features`` cycles region by region, replacing one region's variable
-mask with the total-MDL minimizer while all others are held fixed, until a
-full cycle changes nothing.  Each region's menu of mask fits is exhaustive
-for regression.  For logistic and probit regions it is a bounded walk from
-the full mask down that skips every mask whose supersets' likelihoods
-already rule it out; the chosen masks are those of full enumeration.
+``select_features`` chooses every region's variable mask at once, as the
+exact minimizer of the total criterion over the regions' menus of mask
+fits (on a tie, the choice with fewer columns).  Each menu is reduced once
+to its choice path, the entries some weighting of bits against fit can
+prefer, and one sweep along all paths finds the minimum for regression,
+logistic and probit alike.  Each region's menu is exhaustive for
+regression.  For logistic and probit regions it is a bounded walk from the
+full mask down that skips every mask whose supersets' likelihoods already
+rule it out; the chosen masks are those of full enumeration.
 ``final_adjust`` enumerates change-point subsets and small threshold shifts
 around a search solution and returns the best.
 
@@ -13,12 +16,13 @@ around a search solution and returns the best.
 single memoized evaluation, keyed by cut positions, so search loops never
 score the same configuration twice.  The cached ``ScoredConfig`` is the
 search's only record of a scored key: the swarm holds it and
-``final_adjust`` returns it.  Region mask menus are memoized too, keyed by
+``final_adjust`` returns it.  Region choice paths are memoized too, keyed by
 the packed bitmap of the region's rows, and a region's rows are gathered
 only when its menu is built.  Its ``score_key`` is also the one
 feasibility gate of the search: a key some region of which holds fewer
 than P rows scores None, decided in the same pass over the rows that would
-build its partition.  Threshold values are built only for the
+build its partition, or with no pass at all when the key has more regions
+than n / P.  Threshold values are built only for the
 configuration a key describes.
 """
 
@@ -27,11 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .fitting import RegionDesign
-from .mdl import MdlBreakdown, SIGMA2_FLOOR, mdl_score
+from .mdl import MdlBreakdown, mdl_score, residual_code_regression
 from .model import (
     ChangePointConfig,
     Dataset,
@@ -44,7 +49,6 @@ from .model import (
 )
 
 EXHAUSTIVE_MASK_LIMIT = 15  # exhaustive 2^(P+1) enumeration up to this many columns
-MAX_CYCLES = 60
 SUBSET_CAP = 12  # beyond this many change points, only single-drop subsets
 SHIFT_RADIUS = 3  # final_adjust shifts a cut by up to this many positions
 # Slack in the bounded walk for the convergence error of an unpenalized
@@ -124,8 +128,8 @@ def _bounded_menu(design: RegionDesign, n_params: int) -> list:
     skipped, or whose fit is stabilized (penalized or not converged), passes
     on its own bound instead.  A mask whose value with that bound exceeds
     the best value so far by more than BOUND_MARGIN is never fitted.  Every
-    skipped mask is strictly worse than the best, so ``pick`` chooses as it
-    would from the full menu, ties included.
+    skipped mask is strictly worse than the best, so the joint choice is
+    that of the full menu, ties included.
     """
     half_log2n = 0.5 * math.log2(design.n_r)
     passed = [0.0] * (1 << n_params)  # lower bound each mask hands its subsets
@@ -204,86 +208,113 @@ def _region_menu(design: RegionDesign, n_params: int, exhaustive: bool):
     return menu
 
 
+def _choice_path(menu: list, half_log2n: float) -> list:
+    """A region's menu reduced to the entries the joint choice can take.
+
+    An entry costs ``a = s * half_log2n`` bits and has ``fit_stat``; for a
+    weight ``lam`` the region prefers the entry with the least ``a + lam *
+    fit_stat``.  Only the first least-stat entry of each size can be that
+    entry.  The path starts at the least stat (fewest columns on ties) and
+    steps to a higher-stat entry with fewer columns, the one with the largest
+    switch weight ``lam = (drop in a) / (rise in fit_stat)``, taking the
+    nearer entry on equal weights.  Returns ``(lam, a, entry)`` triples, the
+    start with ``lam = inf``.  The weights fall along the path; one that
+    rounding lifts above its predecessor is clamped to it, so that the sweep
+    of ``_joint_choice`` takes a region's steps in path order.
+    """
+    # The menu is sorted by (s, lex), so min keeps the first of equal stats.
+    least = [min(g, key=lambda e: e[2]) for _, g in itertools.groupby(menu, lambda e: e[0])]
+    here = min(least, key=lambda e: (e[2], e[0]))
+    path = [(math.inf, here[0] * half_log2n, here)]
+    while True:
+        steps = [((here[0] - e[0]) * half_log2n / (e[2] - here[2]), e[0], e)
+                 for e in least if e[0] < here[0] and e[2] > here[2]]
+        if not steps:
+            return path
+        lam, _, here = max(steps, key=lambda t: t[:2])
+        path.append((min(lam, path[-1][0]), here[0] * half_log2n, here))
+
+
+def _joint_choice(paths: list, residual) -> list:
+    """The menu entries, one per region, minimizing ``A + residual(S)``.
+
+    ``A`` sums the regions' ``s * log2(n_r) / 2`` and ``S`` their
+    ``fit_stat``, both by ``math.fsum``.  Starting with every region at the
+    head of its ``_choice_path``, the path steps of all regions are applied
+    one at a time in order of ``(-lam, region, step)``, and the last choice
+    with the least value is returned: on a tie, the one with fewer columns.
+
+    This is the minimum over the product of the menus whenever ``residual``
+    is concave and nondecreasing: the optimum then also minimizes ``A +
+    lam* * S`` at ``lam* = residual'(S*)``, region by region, and the sweep
+    passes through every such per-region choice.
+    """
+    at = [0] * len(paths)
+    costs = [path[0][1] for path in paths]
+    stats = [path[0][2][2] for path in paths]
+    steps = sorted(
+        (-path[k][0], r, k) for r, path in enumerate(paths) for k in range(1, len(path))
+    )
+    best, best_at = math.fsum(costs) + residual(math.fsum(stats)), list(at)
+    for _, r, k in steps:
+        _, costs[r], entry = paths[r][k]
+        at[r], stats[r] = k, entry[2]
+        value = math.fsum(costs) + residual(math.fsum(stats))
+        if value <= best:
+            best, best_at = value, list(at)
+    return [path[k][2] for path, k in zip(paths, best_at)]
+
+
 def select_features(
     data: Dataset,
     task: str,
     grid: PartitionGrid,
     region_cache: dict | None = None,
 ) -> SelectionResult:
-    """Choose each region's variable mask by total-MDL coordinate descent.
+    """Choose every region's variable mask by exact total-MDL minimization.
 
-    Every region starts from the full mask; regions are visited in index
-    order and each takes the mask minimizing the total criterion with the
-    other regions fixed.  When P+1 <= 15 the per-region search covers all
-    ``2^(P+1)`` masks: regression fits every one, and logistic and probit
-    skip the masks a likelihood bound rules out (``_bounded_menu``), with
-    the same result.  Beyond that it is greedy bidirectional stepwise.
-    Stops after the first cycle with no change.
+    The criterion is ``A + residual(S)``: ``A`` sums the regions'
+    ``s * log2(n_r) / 2`` and ``S`` their ``fit_stat``; ``residual`` is
+    ``(n/2) ln(max(S/n, SIGMA2_FLOOR))`` for regression and ``S`` itself for
+    logistic and probit.  The masks returned minimize it over the product
+    of the region menus, and on a tie the choice with fewer columns wins
+    (``_joint_choice``).  This is exact because the residual is concave and
+    nondecreasing in ``S``, with one exception: when a key's least
+    achievable RSS/n lies below ``SIGMA2_FLOOR``, the floored residual is
+    flat there and the choice may miss the minimum.
 
-    ``region_cache`` lets callers reuse the per-mask fit menus across
-    configurations that share regions.  It is keyed by region membership:
-    the packed bitmap of the region's rows, n/8 bytes, which is exact.  The
-    rows themselves are gathered only on a miss.  A single-class region's
-    menu is its one intercept fit, so it never moves.
+    When P+1 <= 15 a region's menu covers all ``2^(P+1)`` masks: regression
+    fits every one, and logistic and probit skip the masks a likelihood
+    bound rules out (``_bounded_menu``), with the same result.  Beyond that
+    the menu holds the masks a greedy bidirectional stepwise walk fits.
+
+    ``region_cache`` lets callers reuse a region's choice path, built once
+    from its menu, across configurations that share regions.  It is keyed
+    by region membership: the packed bitmap of the region's rows, n/8
+    bytes, which is exact.  The rows themselves are gathered only on a
+    miss.  A single-class region's menu is its one intercept fit, so its
+    choice never moves.
     """
     n_params = data.P + 1
     exhaustive = n_params <= EXHAUSTIVE_MASK_LIMIT
     if region_cache is None:
         region_cache = {}
 
-    menus = []
-    half_log2n = []
+    regression = task == TASK_REGRESSION
+    # float is the identity on the summed NLL of the logistic and probit links.
+    residual = partial(residual_code_regression, data.n) if regression else float
+    paths = []
     for r, count in enumerate(grid.region_counts.tolist()):
-        half_log2n.append(0.5 * math.log2(count))
         in_r = grid.region_of == r
         ck = np.packbits(in_r).tobytes()
-        menu = region_cache.get(ck)
-        if menu is None:
+        path = region_cache.get(ck)
+        if path is None:
             design = RegionDesign(data, np.flatnonzero(in_r), task)
             menu = _region_menu(design, n_params, exhaustive)
-            region_cache[ck] = menu
-        menus.append(menu)
-
-    def pick(r, stats):
-        """Best menu entry for region r given the other regions' stats."""
-        menu = menus[r]
-        if task == TASK_REGRESSION:
-            other = sum(stats) - stats[r]
-            n = data.n
-            best = None
-            best_val = np.inf
-            for entry in menu:
-                s, _, stat, _, _ = entry
-                sigma2 = max((other + stat) / n, SIGMA2_FLOOR)
-                val = s * half_log2n[r] + 0.5 * n * math.log(sigma2)
-                if val < best_val:
-                    best_val = val
-                    best = entry
-            return best
-        best = None
-        best_val = np.inf
-        for entry in menu:
-            s, _, stat, _, _ = entry
-            val = s * half_log2n[r] + stat
-            if val < best_val:
-                best_val = val
-                best = entry
-        return best
-
-    R = grid.R
-    chosen = [max(menu, key=lambda e: e[0]) for menu in menus]
-    stats = [entry[2] for entry in chosen]
-
-    for _ in range(MAX_CYCLES):
-        changed = False
-        for r in range(R):
-            entry = pick(r, stats)
-            if entry is not chosen[r]:
-                changed = True
-                chosen[r] = entry
-                stats[r] = entry[2]
-        if not changed:
-            break
+            path = _choice_path(menu, 0.5 * math.log2(count))
+            region_cache[ck] = path
+        paths.append(path)
+    chosen = _joint_choice(paths, residual)
 
     fits = [
         RegionFit(np.array(bools, dtype=bool), beta, stat, stabilized=stab)
@@ -344,12 +375,16 @@ class ConfigScorer:
         some region it induces holds fewer than P observations.
 
         Rows are assigned to regions once per distinct key, and a rejected
-        key builds nothing more.
+        key builds nothing more.  A key with more regions than n / P is
+        rejected before that pass: some region must hold fewer than P rows.
         """
         if key in self._cache:
             return self._cache[key]
-        region_of = _region_index(key, self.data.rank)
         R = math.prod(len(ps) + 1 for _, ps in key)
+        if R * self.data.P > self.data.n:
+            self._cache[key] = None
+            return None
+        region_of = _region_index(key, self.data.rank)
         region_counts = np.bincount(region_of, minlength=R)
         scored = None
         if int(region_counts.min()) >= self.data.P:

@@ -29,6 +29,16 @@ def random_config(data, rng, max_breaks=2, max_cuts=2):
     return ChangePointConfig(breaks)
 
 
+def wide_reg1(noise_columns):
+    """reg1 at n=400 (``trial_rng(0, 0)``) with extra U(0, 1) noise predictors
+    drawn from ``default_rng(100)``."""
+    from partwise.simulate import SETTINGS, generate, trial_rng
+
+    base = generate(SETTINGS["reg1"], 400, trial_rng(0, 0))
+    noise = np.random.default_rng(100).uniform(0, 1, (400, noise_columns))
+    return Dataset(np.column_stack([base.X, noise]), base.y)
+
+
 @pytest.fixture
 def simple_data():
     return random_dataset(1234)

@@ -21,6 +21,8 @@ from partwise.estimator import FitParams, fit_model, predict
 from partwise.io import document_to_model, dumps_document, model_to_document
 from partwise.simulate import SETTINGS, generate
 
+from conftest import wide_reg1
+
 
 def write_csv(path, header, rows, delim=","):
     with open(path, "w") as fh:
@@ -414,6 +416,19 @@ def test_fit_with_fewer_rows_than_predictors_exits_2(tmp_path, capsys):
     assert err.startswith("error: 2 rows for 3 predictors")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_fit_with_sixteen_predictors_exits_0(tmp_path, capsys):
+    # reg1 plus 12 noise predictors: a key with a cut on every predictor
+    # induces 4^16 regions, which the fit must reject without counting rows.
+    wide = wide_reg1(12)
+    data = tmp_path / "wide.csv"
+    header = [f"x{j + 1}" for j in range(16)] + ["y"]
+    write_csv(data, header, np.column_stack([wide.X, wide.y]).tolist())
+    out = tmp_path / "m.json"
+    code = main(FIT + ["--data", str(data), "--out", str(out), "--seed", "3"])
+    assert code == 0, capsys.readouterr().err
+    assert sorted(load_model(str(out)).config.as_dict()) == [0, 2]
 
 
 class TestCli:

@@ -1,30 +1,36 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+import partwise.refine
 from partwise import (
     ChangePointConfig,
     Dataset,
+    FitParams,
     final_adjust,
+    fit_model,
     fit_region,
     induce_partition,
     mdl_score,
     select_features,
 )
 from partwise.fitting import RegionDesign, single_class_fit
-from partwise.mdl import SIGMA2_FLOOR
+from partwise.mdl import SIGMA2_FLOOR, residual_code_regression
 from partwise.model import RegionFit
 from partwise.refine import (
     BOUND_MARGIN,
     ConfigScorer,
+    _choice_path,
+    _joint_choice,
     _key_from_pairs,
     _masks_for,
     _region_menu,
 )
 
-from conftest import random_config, random_dataset
+from conftest import random_config, random_dataset, wide_reg1
 
 
 def exhaustive_selection_oracle(data, grid, task="regression"):
@@ -192,8 +198,11 @@ class TestFinalAdjust:
 
 def unbounded_selection(data, grid, task):
     """Every mask of every region fitted; each region takes the first mask in
-    (popcount, lex) order with the least ``s * log2(n_r) / 2 + NLL``, which
-    is what coordinate descent settles on when regions do not interact."""
+    (popcount, lex) order with the least ``s * log2(n_r) / 2 + NLL``.
+
+    A logistic or probit region's value does not depend on the other
+    regions, so this per-region argmin is the exact joint minimum, and on a
+    tie the mask with fewer columns, as ``select_features`` chooses."""
     n_params = data.P + 1
     fits = []
     for rows in grid.memberships:
@@ -371,3 +380,221 @@ class TestBoundRule:
         edge = 1.0 + BOUND_MARGIN
         assert 0.0 + edge == 1.0 + BOUND_MARGIN
         assert _walk([edge, edge, 0.0, 0.0]) == ([0, 1, 2, 3], 2)
+
+
+# -- the exact joint choice of masks ------------------------------------------
+
+
+def _entry(bools, stat):
+    return (sum(bools), tuple(bools), stat, np.zeros(sum(bools)), False)
+
+
+def _random_menus(rng):
+    """1-4 regions, each with a menu of every mask over 1-3 columns at random
+    stats, sorted by (s, lex) as ``_region_menu`` returns it."""
+    R = int(rng.integers(1, 5))
+    k = int(rng.integers(1, 4 if R <= 3 else 3))
+    menus, half_log2n = [], []
+    for _ in range(R):
+        menu = [
+            _entry([(m >> i) & 1 for i in range(k)], float(rng.uniform(1.0, 60.0)))
+            for m in range(1 << k)
+        ]
+        menu.sort(key=lambda e: (e[0], e[1]))
+        menus.append(menu)
+        half_log2n.append(0.5 * math.log2(int(rng.integers(2, 200))))
+    return menus, half_log2n
+
+
+def _value(choice, half_log2n, residual):
+    """``A + residual(S)`` as the joint choice sums it."""
+    return math.fsum(e[0] * h for e, h in zip(choice, half_log2n)) + residual(
+        math.fsum(e[2] for e in choice)
+    )
+
+
+def brute_force_choice(menus, half_log2n, residual):
+    """The least-value entry of every region, over the product of the menus."""
+    return min(
+        itertools.product(*menus), key=lambda c: _value(c, half_log2n, residual)
+    )
+
+
+def joint_choice(menus, half_log2n, residual):
+    paths = [_choice_path(m, h) for m, h in zip(menus, half_log2n)]
+    return _joint_choice(paths, residual)
+
+
+def coordinate_descent(menus, half_log2n, n):
+    """The regression mask choice ``select_features`` made before the exact
+    joint choice, kept as a reference: from the full masks, each region in
+    turn takes the entry minimizing the total with the others fixed (first
+    in (s, lex) order on ties), until a cycle changes nothing or 60 cycles
+    have run."""
+    chosen = [max(menu, key=lambda e: e[0]) for menu in menus]
+    stats = [e[2] for e in chosen]
+    for _ in range(60):
+        changed = False
+        for r, menu in enumerate(menus):
+            other = sum(stats) - stats[r]
+            best, best_val = None, math.inf
+            for entry in menu:
+                sigma2 = max((other + entry[2]) / n, SIGMA2_FLOOR)
+                val = entry[0] * half_log2n[r] + 0.5 * n * math.log(sigma2)
+                if val < best_val:
+                    best, best_val = entry, val
+            if best is not chosen[r]:
+                changed = True
+                chosen[r], stats[r] = best, best[2]
+        if not changed:
+            break
+    return chosen
+
+
+RESIDUALS = {
+    "regression": partial(residual_code_regression, 200),
+    "binary": lambda total: total,
+}
+
+
+class TestJointChoice:
+    @pytest.mark.parametrize("residual", RESIDUALS.values(), ids=RESIDUALS.keys())
+    def test_matches_brute_force(self, residual):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            menus, half_log2n = _random_menus(rng)
+            got = joint_choice(menus, half_log2n, residual)
+            want = brute_force_choice(menus, half_log2n, residual)
+            assert _value(got, half_log2n, residual) == _value(want, half_log2n, residual)
+            assert [e[1] for e in got] == [e[1] for e in want]
+
+    def test_path_weights_never_rise(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            menus, half_log2n = _random_menus(rng)
+            for menu, h in zip(menus, half_log2n):
+                path = _choice_path(menu, h)
+                assert path[0][2][2] == min(e[2] for e in menu)
+                weights = [lam for lam, _, _ in path]
+                assert weights == sorted(weights, reverse=True)
+                sizes = [e[0] for _, _, e in path]
+                assert sizes == sorted(set(sizes), reverse=True)
+
+    def test_coordinate_descent_misses_what_the_joint_choice_finds(self):
+        # Four regions of 32 rows (a column costs 2.5 bits), n = 128.  Each
+        # region's full mask leaves RSS 16 and its one-column mask 18.625.
+        # Dropping the column in one region alone costs more residual bits
+        # than it saves (64 ln(66.625/64) = 2.573 > 2.5), so coordinate
+        # descent stays at the full masks; dropping it in all four saves
+        # 10 bits for 64 ln(74.5/64) = 9.723.
+        n = 128
+        menu = [_entry([0, 0], 40.0), _entry([1, 0], 18.625), _entry([1, 1], 16.0)]
+        menus, half_log2n = [menu] * 4, [2.5] * 4
+        residual = partial(residual_code_regression, n)
+        optimum = _value(brute_force_choice(menus, half_log2n, residual), half_log2n, residual)
+        descent = coordinate_descent(menus, half_log2n, n)
+        assert [e[1] for e in descent] == [(1, 1)] * 4
+        assert _value(descent, half_log2n, residual) - optimum == pytest.approx(0.2774, abs=1e-4)
+        got = joint_choice(menus, half_log2n, residual)
+        assert [e[1] for e in got] == [(1, 0)] * 4
+        assert _value(got, half_log2n, residual) == optimum
+
+    def test_exact_tie_takes_fewer_columns(self):
+        # Binary links, a column costs one bit (n_r = 4), dyadic NLLs.  In
+        # region 0 the full mask and the intercept alone both score 4.0
+        # exactly; region 1's intercept alone wins outright.
+        menus = [
+            [_entry([0, 0], 6.5), _entry([1, 0], 3.0), _entry([0, 1], 3.5), _entry([1, 1], 2.0)],
+            [_entry([0, 0], 9.0), _entry([1, 0], 0.25), _entry([0, 1], 4.0), _entry([1, 1], 0.125)],
+        ]
+        half_log2n = [1.0, 1.0]
+        residual = RESIDUALS["binary"]
+        values = {
+            (a[1], b[1]): _value((a, b), half_log2n, residual)
+            for a, b in itertools.product(*menus)
+        }
+        assert values[(1, 0), (1, 0)] == values[(1, 1), (1, 0)] == min(values.values())
+        got = joint_choice(menus, half_log2n, residual)
+        assert [e[1] for e in got] == [(1, 0), (1, 0)]
+
+    @pytest.mark.parametrize("task", ["regression", "logistic", "probit"])
+    def test_select_features_matches_brute_force(self, task):
+        rng = np.random.default_rng(43)
+        checked = 0
+        for seed in range(300, 340):
+            P = int(rng.integers(1, 3))
+            d = random_dataset(seed, n=int(rng.choice([30, 60, 90])), P=P, binary=task != "regression")
+            grid = induce_partition(d, random_config(d, rng, max_breaks=2, max_cuts=1))
+            if grid.region_counts.min() < P + 2:
+                continue
+            residual = (
+                partial(residual_code_regression, d.n)
+                if task == "regression"
+                else RESIDUALS["binary"]
+            )
+            menus = [
+                _region_menu(RegionDesign(d, rows, task), P + 1, exhaustive=True)
+                for rows in grid.memberships
+            ]
+            half_log2n = [0.5 * math.log2(c) for c in grid.region_counts.tolist()]
+            want = brute_force_choice(menus, half_log2n, residual)
+            got = select_features(d, task, grid)
+            assert [tuple(f.mask.astype(int).tolist()) for f in got.fits] == [e[1] for e in want]
+            assert [f.fit_stat for f in got.fits] == [e[2] for e in want]
+            checked += 1
+        assert checked >= 20
+
+
+# -- wide tables ----------------------------------------------------------------
+
+
+class TestWideTables:
+    def test_crowded_key_is_rejected_before_any_row_pass(self, monkeypatch):
+        d = random_dataset(7, n=20, P=3)
+        scorer = ConfigScorer(d, "regression")
+
+        def no_row_pass(*args):
+            raise AssertionError("rows were indexed")
+
+        monkeypatch.setattr(partwise.refine, "_region_index", no_row_pass)
+        key = ((0, (3, 6, 9, 12, 15, 18)),)  # 7 regions of 3 rows need 21 > 20
+        assert scorer.score_key(key) is None
+        assert scorer._cache[key] is None
+        assert scorer.evaluations == 0
+
+    @pytest.mark.parametrize("noise_columns", [12, 20])
+    def test_wide_fit_finds_the_true_breaks(self, noise_columns):
+        # P = 16 used to fail: a key with a cut on every predictor induces
+        # 4^16 regions, and counting their rows asked numpy for 32 GiB.
+        d = wide_reg1(noise_columns)
+        model = fit_model(d, "regression", FitParams(seed=3)).model
+        breaks = model.config.as_dict()
+        assert sorted(breaks) == [0, 2]
+        assert breaks[0][0] == pytest.approx(3.999, abs=1e-3)
+        assert breaks[2][0] == pytest.approx(8.507, abs=1e-3)
+        if noise_columns == 12:
+            x1_to_x4 = [False] + [True] * 4 + [False] * noise_columns
+            assert [f.mask.tolist() for f in model.region_fits] == [x1_to_x4] * 4
+
+    def test_stepwise_menu_holds_the_walks_stop(self):
+        d = wide_reg1(12)
+        rows = np.flatnonzero((d.X[:, 0] <= 4.0) & (d.X[:, 2] <= 8.5))
+        design = RegionDesign(d, rows, "regression")
+        fitted = []
+        fit_mask = design.fit_mask
+        design.fit_mask = lambda cols, ix: fitted.append(tuple(cols)) or fit_mask(cols, ix)
+        n_params = d.P + 1
+        menu = _region_menu(design, n_params, exhaustive=False)
+        assert len(fitted) == len(set(fitted))  # no mask is fitted twice
+        assert 2 * n_params <= len(menu) < 2**n_params
+
+        half_log2n = 0.5 * math.log2(rows.size)
+        stop = min(menu, key=lambda e: e[0] * half_log2n + e[2])
+        stop_value = stop[0] * half_log2n + stop[2]
+        for i in range(n_params):
+            flipped = list(stop[1])
+            flipped[i] = 1 - flipped[i]
+            cols = np.flatnonzero(flipped)
+            assert tuple(cols) in fitted  # the walk tried every flip of its stop
+            res = fit_mask(cols, np.ix_(cols, cols))
+            assert res is None or len(cols) * half_log2n + res[1] >= stop_value

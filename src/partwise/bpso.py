@@ -47,6 +47,9 @@ OMEGA, C1, C2, A = 1.0, 2.0, 2.0, 0.5
 # STALL_TOL for STALL_ITERS consecutive iterations.
 STALL_ITERS = 5
 STALL_TOL = 1e-12
+# Drawn positions closer than this are read as one block: skipping a few
+# draws by reading them costs less than a second jump-ahead call.
+RUN_GAP = 64
 
 
 @dataclass
@@ -279,16 +282,29 @@ def _draws(
 ) -> tuple[dict[int, float], dict[int, float]]:
     """The r1 and r2 draws of ``rng.random((2, size))`` at the ascending
     flat positions ``flat``, read by jump-ahead.  ``rng`` is left where that
-    call would leave it."""
+    call would leave it.
+
+    Positions less than RUN_GAP apart form a run, read with one ``advance``
+    to its first position and one ``rng.random`` call of its whole span.
+    """
     bit_generator = rng.bit_generator
+    runs = []
+    start = 0
+    for i in range(1, len(flat) + 1):
+        if i == len(flat) or flat[i] - flat[i - 1] >= RUN_GAP:
+            runs.append(flat[start:i])
+            start = i
     drawn = 0
     r1: dict[int, float] = {}
     r2: dict[int, float] = {}
     for offset, r in ((0, r1), (size, r2)):
-        for f in flat:
-            bit_generator.advance(offset + f - drawn)
-            r[f] = rng.random()
-            drawn = offset + f + 1
+        for run in runs:
+            first = run[0]
+            bit_generator.advance(offset + first - drawn)
+            block = rng.random(run[-1] - first + 1).tolist()
+            for f in run:
+                r[f] = block[f - first]
+            drawn = offset + run[-1] + 1
     bit_generator.advance(2 * size - drawn)
     return r1, r2
 

@@ -4,11 +4,15 @@ Each predictor is scanned independently: thresholds are added one at a time
 at the position minimizing the full MDL criterion for a model that breaks on
 that predictor alone, with every region fitted under the full variable mask.
 A greedy step scores every admissible cut at once.  It fits the left and
-right segment of every cut together (one stacked solve of prefix-Gram
-differences for regression; cached, warm-started Newton fits for the binary
-links) and evaluates the criterion of all cuts as vectors, with the same
-floating-point operations in the same order as scoring one cut at a time, so
-the first minimizer is the one a cut-by-cut loop would pick.  A regression
+right segment of every cut together and evaluates the criterion of all cuts
+as vectors, with the same floating-point operations in the same order as
+scoring one cut at a time.  For regression the fits are one stacked solve
+of prefix-Gram differences, so the first minimizer is the one a cut-by-cut
+loop would pick.  For the binary links the step's new segments are fitted
+in one stacked damped-Newton solve (``fitting.newton_glm_windows``), each
+warm-started from the segment it splits; its NLLs agree with one-at-a-time
+fits to rounding, and the candidates equal the cut-by-cut loop's on the
+bundled designs (``tests/test_scan.py``).  A regression
 scan keeps the RSS of every prefix segment ``[0, b)`` and suffix segment
 ``[b, n)`` it solves, so later steps solve only interior segments.  A
 predictor's scan stops at the per-predictor cap, or when no position
@@ -22,7 +26,7 @@ import math
 
 import numpy as np
 
-from .fitting import _newton_glm, full_design, single_class_fit
+from .fitting import _newton_glm, full_design, newton_glm_windows, single_class_fit
 from .mdl import SIGMA2_FLOOR
 from .model import Dataset, InputError, TASK_REGRESSION
 
@@ -116,12 +120,21 @@ class _RegressionSegments:
 
 
 class _BinarySegments:
-    """Full-mask negative log-likelihood of sorted-order segments."""
+    """Full-mask negative log-likelihood of sorted-order segments.
+
+    Each segment is fitted once and warm-started from the fit of the
+    segment it was split from.  ``stat`` fits one segment through
+    ``_newton_glm``; the scan sends it the whole sample, which has no
+    parent fit.  ``stats`` fits all of a greedy step's new mixed-class
+    segments in one stacked solve (``newton_glm_windows``) under the same
+    Newton rules.  A single-class segment takes ``single_class_fit``.
+    """
 
     def __init__(self, data: Dataset, j: int, task: str):
         rows = data.order[j]
         self._D = full_design(data, rows)
         self._y = data.y[rows]
+        self._ones = np.concatenate([[0.0], np.cumsum(self._y)])  # ones in [0, b)
         self.task = task
         self._beta: dict[tuple[int, int], np.ndarray] = {}
         self._cache: dict[tuple[int, int], float] = {}
@@ -137,15 +150,42 @@ class _BinarySegments:
         return nll
 
     def stats(self, lo, hi, parent_lo, parent_hi) -> np.ndarray:
-        """Segment statistics, each fitted once and warm-started from the
-        fit of the segment it was split from; a segment's first fit wins."""
+        """Segment statistics; a segment's first fit wins.
+
+        A segment that is its own parent (the whole sample) goes to
+        ``stat``.  Every other new segment is fitted in one stacked solve,
+        warm-started from its parent's fit.
+        """
+        ones = self._ones[hi] - self._ones[lo]
+        single = (ones == 0) | (ones == hi - lo)
         out = np.empty(len(lo))
+        batch: dict[tuple[int, int], list[int]] = {}
         for i, seg in enumerate(zip(lo.tolist(), hi.tolist())):
             hit = self._cache.get(seg)
-            if hit is None:
-                parent = (int(parent_lo[i]), int(parent_hi[i]))
-                hit = self._cache[seg] = self.stat(*seg, parent=parent)
-            out[i] = hit
+            if hit is not None:
+                out[i] = hit
+            elif seg in batch:
+                batch[seg].append(i)
+            elif single[i]:
+                y = self._y[seg[0] : seg[1]]
+                out[i] = self._cache[seg] = single_class_fit(self.task, y)[1]
+            elif seg == (parent_lo[i], parent_hi[i]):
+                out[i] = self._cache[seg] = self.stat(*seg, parent=seg)
+            else:
+                batch[seg] = [i]
+        if batch:
+            first = [at[0] for at in batch.values()]
+            parents = zip(parent_lo[first].tolist(), parent_hi[first].tolist())
+            cold = np.zeros(self._D.shape[1])
+            beta0 = np.array([self._beta.get(p, cold) for p in parents])
+            segs = np.array(list(batch), dtype=np.int64)
+            beta, nll, _stab = newton_glm_windows(
+                self._D, self._y, self.task, segs[:, 0], segs[:, 1], beta0
+            )
+            for seg, at, b, value in zip(batch, batch.values(), beta, nll.tolist()):
+                self._beta[seg] = b
+                self._cache[seg] = value
+                out[at] = value
         return out
 
 

@@ -10,6 +10,7 @@ from partwise.fitting import (
     MAX_NEWTON_ITER,
     NEWTON_TOL,
     RIDGE,
+    STACK_SLOTS,
     RegionDesign,
     _cholesky,
     _newton_glm,
@@ -17,10 +18,13 @@ from partwise.fitting import (
     full_design,
     logistic_grad_hess,
     logistic_nll,
+    newton_glm_windows,
     probit_grad_hess,
     probit_nll,
     single_class_fit,
+    stack_chunks,
 )
+from partwise.simulate import SETTINGS, generate
 
 LOG2 = float(np.log(2.0))
 LINKS = [
@@ -488,3 +492,65 @@ def test_newton_matches_reference_bitwise():
     # The sample reaches the ridge and the empty design, not only easy fits.
     assert outcomes["stabilized"] >= 300
     assert outcomes["empty"] >= 50
+
+
+# -- the stacked solver against the scalar one -------------------------------
+
+
+def _window_problems(link):
+    """Row windows of the bundled binary designs in one predictor's sorted
+    order, as a scan step sees them, with a warm start each: the whole
+    sample's fit (as a scan's first step starts), a cold start, or a
+    perturbed fit.  Single-class windows are left out: the scan gives them
+    ``single_class_fit``."""
+    for setting in ("cls1", "cls2"):
+        for seed in range(2):
+            rng = np.random.default_rng([seed, 5])
+            data = generate(SETTINGS[setting], 300, rng, link=link)
+            for j in range(data.P):
+                D = full_design(data, data.order[j])
+                y = data.y[data.order[j]]
+                rng = np.random.default_rng([seed, j, 17])
+                lo = rng.integers(0, data.n - 10, 120)
+                hi = np.minimum(lo + rng.integers(10, data.n, 120), data.n)
+                mixed = [y[a:b].min() != y[a:b].max() for a, b in zip(lo, hi)]
+                lo, hi = lo[mixed], hi[mixed]
+                whole = _newton_glm(D, y, link)[0]
+                beta0 = np.tile(whole, (lo.size, 1))
+                beta0[1::3] = 0.0
+                beta0[2::3] += rng.normal(0.0, 0.3, (len(beta0[2::3]), D.shape[1]))
+                yield D, y, lo, hi, beta0
+
+
+@pytest.mark.parametrize("link", ["logistic", "probit"])
+def test_stacked_newton_matches_scalar(link):
+    windows = stabilized = 0
+    for D, y, lo, hi, beta0 in _window_problems(link):
+        _beta, nll, stab = newton_glm_windows(D, y, link, lo, hi, beta0)
+        for i in range(lo.size):
+            want = _newton_glm(D[lo[i] : hi[i]], y[lo[i] : hi[i]], link, beta0[i])
+            assert stab[i] == want[3]
+            # Relative to max(1, |NLL|): a separated window can converge
+            # without the ridge to an NLL near 1e-11.
+            tol = 1e-7 if want[3] else 1e-12
+            assert abs(nll[i] - want[1]) <= tol * max(1.0, abs(want[1]))
+            windows += 1
+            stabilized += want[3]
+    assert windows >= 1000
+    # Separated windows reach the ridge, not only easy fits.
+    assert stabilized >= 50
+
+
+def test_stack_chunks_hold_their_slot_cap():
+    data = generate(SETTINGS["cls1"], 400, np.random.default_rng(3), link="logistic")
+    b = data.cut_positions(0) + 1
+    b = b[(b >= 10) & (b <= data.n - 10)]
+    lengths = np.concatenate([b, data.n - b])  # a first scan step's windows
+    chunks = stack_chunks(lengths)
+    assert len(chunks) > 1
+    assert sorted(np.concatenate(chunks).tolist()) == list(range(lengths.size))
+    for chunk in chunks:
+        assert chunk.size * lengths[chunk].max() <= STACK_SLOTS
+    # A window longer than the cap is a chunk of its own.
+    long = stack_chunks(np.array([5, STACK_SLOTS + 1, 7]))
+    assert [c.tolist() for c in long] == [[0, 2], [1]]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,35 @@ def _singular_segments_data(seed):
     x2 = np.where(x1 < 4, 0.0, rng.uniform(0, 1, 160))
     y = np.where(x1 <= 2, 1.0, 4.0) + 0.5 * x1 + x2 + rng.normal(0, 0.3, 160)
     return Dataset(np.column_stack([x1, x2]), y)
+
+
+class TestStackedBinaryScan:
+    """The binary scan fits each step's segments in one stacked solve; its
+    candidates equal those of the cut-by-cut loop, which fits every segment
+    through the scalar ``_BinarySegments.stat``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "n", [150, 400, pytest.param(1000, marks=pytest.mark.slow)]
+    )
+    @pytest.mark.parametrize("task", ["probit", "logistic"])
+    @pytest.mark.parametrize("setting", ["cls1", "cls2"])
+    def test_candidates_match_reference(self, setting, task, n, seed):
+        rng = np.random.default_rng([seed, 91])
+        data = generate(SETTINGS[setting], n, rng, link=task)
+        want, _ = reference_scan(data, task)
+        assert scan_candidates(data, task) == want
+
+    def test_stacked_solve_memory_stays_small(self):
+        rng = np.random.default_rng([1, 91])
+        data = generate(SETTINGS["cls1"], 400, rng, link="logistic")
+        tracemalloc.start()
+        try:
+            scan_candidates(data, "logistic")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestMatchesCutByCutReference:

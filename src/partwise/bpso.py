@@ -177,8 +177,6 @@ def init_swarm(
         particles = [_make_particle([], _rng(seed, 0, 0, 0), scorer)]
     else:
         N = params.swarm_size
-        if N < 3:
-            raise InputError("swarm_size must be at least 3")
         half = math.ceil(N / 2)
         particles = []
         for i in range(N):
@@ -384,10 +382,13 @@ def run_bpso(
     mutation, and global-best bookkeeping until the global best is
     unchanged (within ``STALL_TOL``) for ``STALL_ITERS`` consecutive
     iterations, or ``params.max_iter`` is reached (the result is then
-    flagged as not converged).  Raises InputError for ``max_iter`` below 1.
+    flagged as not converged).  Raises InputError for ``swarm_size`` below 3
+    or ``max_iter`` below 1.
     """
     if params is None:
         params = BpsoParams()
+    if params.swarm_size < 3:
+        raise InputError(f"swarm_size must be at least 3, got {params.swarm_size}")
     if params.max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {params.max_iter}")
     if scorer is None:

@@ -7,7 +7,8 @@ damped-Newton maximum likelihood for the logistic and probit links.
 rule for single-class regions, which have no interior maximum.
 ``RegionDesign.fit_mask`` applies that rule to the intercept mask of such a
 region and reports every other mask infeasible, so a single-class region's
-menu is its one intercept fit.
+menu is its one intercept fit.  The scan solves its least-squares segments
+as one stack under the rank rule of the per-mask solve (``solve_spd_stack``).
 
 Damped Newton has two entry points that share one set of rules (warm
 start, the ridge switch at COND_LIMIT, step halving, NEWTON_TOL,
@@ -70,7 +71,8 @@ def _cholesky(A: np.ndarray, scale: float = 0.0) -> tuple[np.ndarray | None, flo
     low = min(d)
     if low <= 0:
         return None, math.inf
-    return L, (max(max(d), scale) / low) ** 2
+    ratio = max(max(d), scale) / low
+    return L, ratio * ratio  # inf past the float range, as in _stack_cholesky
 
 
 def _solve_spd(G: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -274,6 +276,17 @@ def _stack_solve(L: list, g: np.ndarray) -> np.ndarray:
             v = v - L[p][i] * x[p]
         x[i] = v / L[i][i]
     return np.stack(x, axis=1)
+
+
+def solve_spd_stack(G: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_solve_spd`` of each system ``G[i] x = c[i]``, as one stack.
+
+    Returns ``(x, solved)``; ``solved`` is False where ``_solve_spd`` would
+    raise, and ``x`` is meaningless there (computed without a warning).
+    """
+    L, cond, _ = _stack_cholesky(G, 0.0)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return _stack_solve(L, c), cond <= COND_LIMIT
 
 
 def _stack_nll(logistic, factor, t, valid):

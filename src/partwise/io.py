@@ -380,6 +380,8 @@ def document_to_model(doc: dict) -> FittedModel:
             f"sigma2_hat must be null in a {doc['task']} model, got {sigma2!r}"
         )
     columns = tuple(_list_of(_text, doc["columns"], "columns"))
+    if len(set(columns)) != len(columns):
+        raise SchemaError(f"columns must be distinct names, got {list(columns)}")
     thresholds = doc["thresholds"]
     _require(thresholds, (), "thresholds")
     name_to_idx = {c: j for j, c in enumerate(columns)}

@@ -70,7 +70,7 @@ class Dataset:
         Response.  Real valued for regression; exactly 0/1 for the
         classification tasks.
     column_names : sequence of str, optional
-        Predictor labels; defaults to ``x1..xP``.
+        Distinct predictor labels; defaults to ``x1..xP``.
 
     Notes
     -----
@@ -113,6 +113,8 @@ class Dataset:
                 raise InputError(
                     f"{len(column_names)} column names for {P} predictors"
                 )
+            if len(set(column_names)) != P:
+                raise InputError("duplicate column names")
         self.X = _readonly(X)
         self.y = _readonly(y)
         self.design = _readonly(np.column_stack([np.ones(n), X]))

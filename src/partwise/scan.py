@@ -6,18 +6,18 @@ that predictor alone, with every region fitted under the full variable mask.
 A greedy step scores every admissible cut at once.  It fits the left and
 right segment of every cut together and evaluates the criterion of all cuts
 as vectors, with the same floating-point operations in the same order as
-scoring one cut at a time.  For regression the fits are one stacked solve
-of prefix-Gram differences, so the first minimizer is the one a cut-by-cut
-loop would pick.  For the binary links the step's new segments are fitted
-in one stacked damped-Newton solve (``fitting.newton_glm_windows``), each
-warm-started from the segment it splits; its NLLs agree with one-at-a-time
-fits to rounding, and the candidates equal the cut-by-cut loop's on the
-bundled designs (``tests/test_scan.py``).  A regression
-scan keeps the RSS of every prefix segment ``[0, b)`` and suffix segment
-``[b, n)`` it solves, so later steps solve only interior segments.  A
-predictor's scan stops at the per-predictor cap, or when no position
-satisfies the minimum-segment constraint or scores finite; it does not stop
-when the best addition fails to lower the criterion.
+scoring one cut at a time.  For regression the fits are one stacked
+Cholesky solve of prefix-Gram differences (``fitting.solve_spd_stack``, with
+least squares for the segments its rank rule rejects).  For the binary links
+the step's new segments are fitted in one stacked damped-Newton solve
+(``fitting.newton_glm_windows``), each warm-started from the segment it
+splits.  Both agree with one-at-a-time fits to rounding, and the candidates
+equal the cut-by-cut loop's on the bundled designs (``tests/test_scan.py``).
+A regression scan keeps the RSS of every prefix segment ``[0, b)`` and
+suffix segment ``[b, n)`` it solves, so later steps solve only interior
+segments.  A predictor's scan stops at the per-predictor cap, or when no
+position satisfies the minimum-segment constraint or scores finite; it does
+not stop when the best addition fails to lower the criterion.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ import math
 
 import numpy as np
 
-from .fitting import _newton_glm, full_design, newton_glm_windows, single_class_fit
+from .fitting import (
+    _newton_glm, full_design, newton_glm_windows, single_class_fit, solve_spd_stack
+)
 from .mdl import SIGMA2_FLOOR
 from .model import Dataset, InputError, TASK_REGRESSION
 
@@ -38,28 +40,12 @@ def default_min_segment(P: int) -> int:
     return max(P + 2, 10)
 
 
-def _solve_each(G: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` of every system in a stack.
-
-    Rows whose matrix LAPACK finds exactly singular come back NaN.  A stacked
-    solve raises if any one matrix is singular, so a failing stack is split
-    in halves until the singular systems are isolated.
-    """
-    try:
-        return np.linalg.solve(G, c[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        if len(G) == 1:
-            return np.full_like(c, np.nan)
-        mid = len(G) // 2
-        return np.concatenate(
-            [_solve_each(G[:mid], c[:mid]), _solve_each(G[mid:], c[mid:])]
-        )
-
-
 class _RegressionSegments:
     """Full-mask RSS of sorted-order segments via prefix Gram sums.
 
-    The RSS of every prefix segment ``[0, b)`` and suffix segment ``[b, n)``
+    Segments are solved by ``fitting.solve_spd_stack``, the Cholesky solve
+    and rank rule of every other least-squares fit, stacked; the systems it
+    rejects go to least squares one by one.  The RSS of every prefix segment ``[0, b)`` and suffix segment ``[b, n)``
     is kept once solved.  Each greedy step after the first meets again the
     prefixes and suffixes the first step solved, so only its interior
     segments are solved.
@@ -81,17 +67,12 @@ class _RegressionSegments:
         np.cumsum(y * y, out=self._yy[1:])
 
     def stat(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """RSS of every segment ``[lo_i, hi_i)`` from one stacked solve.
-
-        Each segment gets the arithmetic of a solve of its own; a segment
-        whose Gram is singular, or whose solution is not finite, falls back
-        to least squares.
-        """
+        """RSS of every segment ``[lo_i, hi_i)``, solved as one stack."""
         G = self._G[hi] - self._G[lo]
         c = self._c[hi] - self._c[lo]
         yy = self._yy[hi] - self._yy[lo]
-        beta = _solve_each(G, c)
-        for i in np.flatnonzero(~np.isfinite(beta).all(axis=1)):
+        beta, solved = solve_spd_stack(G, c)
+        for i in np.flatnonzero(~solved):
             beta[i] = np.linalg.lstsq(G[i], c[i], rcond=None)[0]
         # A stacked matmul takes the same dot product as ``beta_i @ c_i``.
         fitted = np.matmul(beta[:, None, :], c[:, :, None])[:, 0, 0]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
@@ -15,6 +17,7 @@ from partwise.fitting import (
     _cholesky,
     _newton_glm,
     _solve_spd,
+    _stack_cholesky,
     full_design,
     logistic_grad_hess,
     logistic_nll,
@@ -22,6 +25,7 @@ from partwise.fitting import (
     probit_grad_hess,
     probit_nll,
     single_class_fit,
+    solve_spd_stack,
     stack_chunks,
 )
 from partwise.simulate import SETTINGS, generate
@@ -287,6 +291,13 @@ def _helper_solve(A, b, scale=0.0):
     return dpotrs(L, b, lower=1)[0]
 
 
+def _stack_helper_solve(As, bs):
+    """Accepted solutions of the systems ``As[i] x = bs[i]``, solved as one
+    stack by ``solve_spd_stack``, with None for each rejected system."""
+    x, solved = solve_spd_stack(np.array(As), np.array(bs))
+    return [xi if ok else None for xi, ok in zip(x, solved.tolist())]
+
+
 def _with_pivots(pivots, seed):
     """SPD matrix ``L L'`` whose Cholesky pivots are ``pivots``."""
     rng = np.random.default_rng(seed)
@@ -308,15 +319,25 @@ def _spd_cases():
 class TestCholeskyHelper:
     """Numpy and scipy may each link their own LAPACK build; their factors
     agree to rounding, so solutions match to a relative 1e-10 and every
-    accept/reject decision away from the limit matches exactly."""
+    accept/reject decision away from the limit matches exactly.  The
+    stacked factor (``_stack_cholesky``, ``solve_spd_stack``), which decides
+    rank for the scan's segments, is held to the same rule."""
 
     def test_spd_matrices(self):
+        by_size = {}
         for A, b in _spd_cases():
             want = _reference_solve(A, b)
             got = _helper_solve(A, b)
             assert (got is None) == (want is None)
             if want is not None:
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+            by_size.setdefault(len(b), []).append((A, b, want))
+        for cases in by_size.values():
+            As, bs, wants = zip(*cases)
+            for got, want in zip(_stack_helper_solve(As, bs), wants):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6])
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -332,6 +353,17 @@ class TestCholeskyHelper:
         assert (got is None) == (want is None) == (side > 1.0)
         if want is not None:
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        # The stacked factor sums in another order than LAPACK's.  Its
+        # smallest pivot is a difference of order-one terms, and the system
+        # is at the condition limit, so its estimate and solution agree
+        # with LAPACK's only to about 1e-10 relative (1.2e-10 at k=3); they
+        # are checked to 1e-8.
+        stack_cond = _stack_cholesky(np.array([A]), 0.0)[1][0]
+        assert stack_cond == pytest.approx(cond, rel=1e-8)
+        for got in _stack_helper_solve([A, A], [b, b]):
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
 
     @pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6])
     def test_scale_anchors_the_estimate(self, side):
@@ -343,6 +375,29 @@ class TestCholeskyHelper:
         assert cond == pytest.approx(_reference_cholesky(A, scale)[1], rel=1e-12)
         assert (cond > COND_LIMIT) == (side > 1.0)
         assert _cholesky(A)[1] == pytest.approx(1.0)
+        _, stack_cond, factored = _stack_cholesky(np.array([A, A]), np.array([scale, 0.0]))
+        assert factored.all()
+        assert stack_cond[0] == pytest.approx(cond, rel=1e-12)
+        assert stack_cond[1] == pytest.approx(1.0)
+
+    def test_pivot_ratio_past_the_float_range(self):
+        # The squared pivot ratio, 1e320, overflows: both factors read it as
+        # infinite and reject the system, without an error or a warning.
+        A = np.diag([1.0, 1e-320])
+        b = np.ones(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _cholesky(A)[1] == np.inf
+            with pytest.raises(SingularFitError):
+                _solve_spd(A, b)
+            assert _stack_helper_solve([A, np.eye(2)], [b, b])[0] is None
+        # A predictor on that scale is never selected, and the fit runs.
+        rng = np.random.default_rng(6)
+        X = rng.uniform(0, 1, (40, 2)) * [1.0, 1e-160]
+        d = Dataset(X, X[:, 0] + rng.normal(0, 0.1, 40))
+        with pytest.raises(SingularFitError):
+            fit_region(d, all_rows(d), full_mask(d), "regression")
+        assert fit_region(d, all_rows(d), np.array([True, True, False]), "regression")
 
     @pytest.mark.parametrize(
         "A",
@@ -358,6 +413,19 @@ class TestCholeskyHelper:
         assert _cholesky(A) == (None, np.inf)
         with pytest.raises(SingularFitError):
             _solve_spd(A, np.ones(A.shape[0]))
+        # Stacked between two positive definite systems, it alone is
+        # rejected, with no floating-point warning.
+        I = np.eye(A.shape[0])
+        b = np.ones(A.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, cond, factored = _stack_cholesky(np.array([I, A, 2.0 * I]), 0.0)
+            got = _stack_helper_solve([I, A, 2.0 * I], [b, b, b])
+        assert factored.tolist() == [True, False, True]
+        assert cond[1] == np.inf
+        assert got[1] is None
+        np.testing.assert_array_equal(got[0], b)
+        np.testing.assert_allclose(got[2], b / 2.0, rtol=1e-15, atol=0)
 
 
 # -- the damped-Newton solver against the loop it was tuned from -------------

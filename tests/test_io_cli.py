@@ -178,6 +178,13 @@ def _rename_threshold_column(doc):
     doc["thresholds"]["nope"] = doc["thresholds"].pop(name)
 
 
+def _repeat_column(doc):
+    # A name no break uses takes the first name, so the thresholds still
+    # name known columns.
+    j = next(j for j, c in enumerate(doc["columns"]) if c not in doc["thresholds"])
+    doc["columns"][j] = doc["columns"][0]
+
+
 def _nan_first_betas(doc):
     for rf in doc["region_fits"]:
         rf["beta"][:1] = [float("nan")]
@@ -214,6 +221,7 @@ CORRUPTIONS = {
     "region_missing": _edit(lambda d: d["region_fits"].pop()),
     "region_extra": _edit(lambda d: d["region_fits"].append(d["region_fits"][0])),
     "unknown_column": _edit(_rename_threshold_column),
+    "repeated_column": _edit(_repeat_column),
     "unknown_task": _edit(lambda d: d.update(task="ranking")),
     "nan_beta": _edit(_nan_first_betas),
     "infinite_threshold": _edit(_infinite_last_threshold),
@@ -249,6 +257,7 @@ CORRUPTIONS = {
 MISTYPED_FIELDS = {
     "string_threshold": "thresholds['a']",
     "string_columns": "columns",
+    "repeated_column": "columns",
     "string_converged": "converged",
     "string_stabilized": "region fit 0: stabilized",
     "list_response": "response",
@@ -312,6 +321,8 @@ def test_predict_accepts_uncorrupted_document(saved_model, tmp_path):
 
 OUT_OF_RANGE = {
     "swarm_size": ["fit", "--swarm-size", "2"],
+    # The scan finds no candidates in the tiny table.
+    "swarm_size_no_candidates": ["fit", "--swarm-size", "1", "--data", "{tiny}"],
     "max_cp_per_predictor": ["fit", "--max-cp-per-predictor", "0"],
     "min_segment": ["fit", "--min-segment", "1"],
     "simulate_n": ["simulate", "--setting", "reg1", "--n", "5", "--trials", "1"],
@@ -324,17 +335,31 @@ OUT_OF_RANGE = {
 }
 
 
+def _tiny_csv(tmp_path):
+    """A 15-row reg1 table: too few rows for a split of min_segment 10."""
+    path = str(tmp_path / "tiny.csv")
+    drawn = generate(SETTINGS["reg1"], 50, np.random.default_rng(5), sigma=1.0)
+    write_csv(path, ["x1", "x2", "x3", "x4", "y"], np.column_stack([drawn.X, drawn.y])[:15])
+    return path
+
+
+# The tiny table warns that it admits no split before the swarm rejects it.
+@pytest.mark.filterwarnings("ignore:n=15 < 2\\*min_segment:UserWarning")
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_out_of_range_argument_exits_2(case, reg_csv, tmp_path, capsys):
     argv = OUT_OF_RANGE[case]
     if argv[0] == "fit":
-        argv = argv + ["--data", reg_csv, "--response", "y", "--task", "regression",
-                       "--out", str(tmp_path / "m.json")]
+        if "--data" not in argv:
+            argv = argv + ["--data", reg_csv]
+        argv = [_tiny_csv(tmp_path) if a == "{tiny}" else a for a in argv] + [
+            "--response", "y", "--task", "regression", "--out", str(tmp_path / "m.json")
+        ]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "m.json")
 
 
 FIT = ["fit", "--response", "y", "--task", "regression"]

@@ -38,6 +38,12 @@ class TestDataset:
         with pytest.raises(InputError, match="response"):
             Dataset(np.ones((4, 2)), np.array([0.0, np.inf, 0.0, 0.0]))
 
+    def test_rejects_duplicate_column_names(self):
+        # A model document keys thresholds by name, so a repeated name
+        # would write a document that cannot be loaded.
+        with pytest.raises(InputError, match="duplicate column names"):
+            Dataset(np.ones((4, 3)), np.zeros(4), ["a", "b", "a"])
+
     def test_classification_requires_binary(self, simple_data):
         with pytest.raises(InputError, match="0/1"):
             simple_data.validate_task("logistic")

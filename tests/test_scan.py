@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrs
 
 from partwise import Dataset, InputError, scan_candidates
+from partwise.fitting import COND_LIMIT, _cholesky
 from partwise.mdl import SIGMA2_FLOOR
 from partwise.scan import _BinarySegments, _RegressionSegments, default_min_segment
 from partwise.simulate import SETTINGS, generate
@@ -169,23 +171,23 @@ class TestClassificationScan:
 
 
 class _ReferenceRegressionSegments:
-    """One ``np.linalg.solve`` per segment, with the lstsq fallback."""
+    """One LAPACK Cholesky solve per segment under ``_cholesky``'s rank rule,
+    with the lstsq fallback; ``fallbacks`` lists the segments that took it."""
 
     def __init__(self, data, j):
         seg = _RegressionSegments(data, j)
         self._G, self._c, self._yy = seg._G, seg._c, seg._yy
-        self.fallbacks = 0
+        self.fallbacks = []
 
     def stat(self, lo, hi, parent=None):
         G = self._G[hi] - self._G[lo]
         c = self._c[hi] - self._c[lo]
         yy = self._yy[hi] - self._yy[lo]
-        try:
-            beta = np.linalg.solve(G, c)
-            if not np.isfinite(beta).all():
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            self.fallbacks += 1
+        L, cond = _cholesky(G)
+        if L is not None and cond <= COND_LIMIT:
+            beta = dpotrs(L, c, lower=1)[0]
+        else:
+            self.fallbacks.append((lo, hi))
             beta = np.linalg.lstsq(G, c, rcond=None)[0]
         return max(float(yy - beta @ c), 0.0)
 
@@ -253,7 +255,7 @@ def reference_scan(data, task, max_per=3, min_segment=None):
             chosen.append(best_pos)
             boundaries = sorted(boundaries + [best_pos + 1])
         if task == "regression":
-            fallbacks += segments.fallbacks
+            fallbacks += len(segments.fallbacks)
         if chosen:
             out[j] = [data.midpoint(j, p) for p in sorted(chosen)]
     return out, fallbacks
@@ -267,6 +269,23 @@ def _singular_segments_data(seed):
     x2 = np.where(x1 < 4, 0.0, rng.uniform(0, 1, 160))
     y = np.where(x1 <= 2, 1.0, 4.0) + 0.5 * x1 + x2 + rng.normal(0, 0.3, 160)
     return Dataset(np.column_stack([x1, x2]), y)
+
+
+class TestStackedRegressionScan:
+    """The regression scan solves each step's segments in one stacked
+    Cholesky solve; its candidates equal those of the cut-by-cut loop, which
+    solves every segment through LAPACK on its own."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "n", [150, 400, pytest.param(1000, marks=pytest.mark.slow)]
+    )
+    @pytest.mark.parametrize("setting", ["reg1", "reg2"])
+    def test_candidates_match_reference(self, setting, n, seed):
+        rng = np.random.default_rng([seed, 91])
+        data = generate(SETTINGS[setting], n, rng)
+        want, _ = reference_scan(data, "regression")
+        assert scan_candidates(data, "regression") == want
 
 
 class TestStackedBinaryScan:
@@ -337,12 +356,22 @@ class TestMatchesCutByCutReference:
         assert all(len(ts) == 3 for ts in got.values())
 
     @pytest.mark.parametrize("j", [0, 1])
-    def test_segment_rss_matches_one_solve_each(self, j):
+    def test_segment_rss_matches_one_solve_each(self, j, monkeypatch):
         data = _singular_segments_data(5)
         ref = _ReferenceRegressionSegments(data, j)
         lo = np.arange(0, data.n - 12, 7)
         hi = np.minimum(lo + 12 + lo % 29, data.n)
-        got = _RegressionSegments(data, j).stat(lo, hi)
+        seg = _RegressionSegments(data, j)
+        lstsq, fell_back = np.linalg.lstsq, []
+
+        def recording_lstsq(G, c, rcond=None):
+            fell_back.append(G.tobytes())
+            return lstsq(G, c, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        got = seg.stat(lo, hi)
+        monkeypatch.undo()
         want = [ref.stat(int(a), int(b)) for a, b in zip(lo, hi)]
-        assert ref.fallbacks > 0
-        assert got.tolist() == want
+        assert ref.fallbacks
+        assert fell_back == [(seg._G[b] - seg._G[a]).tobytes() for a, b in ref.fallbacks]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)

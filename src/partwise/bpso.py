@@ -6,10 +6,16 @@ statistics.  A particle is a key, the sorted cut positions of each
 predictor, never a matrix.  The swarm holds each particle, pbest and the
 global best as the scorer's cached ``ScoredConfig`` of its key, compared by
 ``.total``, and returns the global best's without scoring it again.
-``ConfigScorer.score_key`` scores a key or rejects it as infeasible in one
-pass over the rows, and a rejected key is repaired by dropping random cuts.
-Threshold values (``min <= t < max``) are built only for the configuration
-a key describes.  Velocity updates squash through a sigmoid of an absolute
+Each step (initialisation, an iteration's moves, a mutation) first
+proposes all its keys: ``ConfigScorer.feasible`` rejects an infeasible key
+in one pass over the rows, and a rejected key is repaired by dropping
+random cuts.  The step's keys are then scored in one batch
+(``ConfigScorer.score_keys``), which builds the region menus they miss
+together.  This is exact: a move reads its own particle and pbest and the
+global best, which is fixed for the iteration, and the best and the worst
+tenth of a mutation are disjoint for ``swarm_size >= 3``.  Threshold
+values (``min <= t < max``) are built only for the configuration a key
+describes.  Velocity updates squash through a sigmoid of an absolute
 value, so velocities live in ``[0.5, 1)``; position updates copy bits from
 the particle itself, its pbest, or the global best depending on which
 velocity band is hit.  Elitist mutation clones the best tenth of the swarm
@@ -58,6 +64,13 @@ class BpsoParams:
 
     swarm_size: int = 100
     max_iter: int = 200
+
+    def check(self) -> None:
+        """Raise InputError for ``swarm_size`` below 3 or ``max_iter`` below 1."""
+        if self.swarm_size < 3:
+            raise InputError(f"swarm_size must be at least 3, got {self.swarm_size}")
+        if self.max_iter < 1:
+            raise InputError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass
@@ -146,14 +159,14 @@ def _set_snapped(cuts: set, data: Dataset, j: int, pos: int) -> None:
 
 def _make_particle(
     cuts: Iterable[tuple[int, int]], rng, scorer: ConfigScorer
-) -> ScoredConfig:
-    """The scored key of ``cuts``, after dropping random cuts until it is
-    feasible."""
+) -> tuple:
+    """The key of ``cuts``, after dropping random cuts until the scorer's
+    gate passes it."""
     cuts = sorted(cuts)
     while True:
-        scored = scorer.score_key(_key_from_pairs(cuts))
-        if scored is not None:
-            return scored
+        key = _key_from_pairs(cuts)
+        if scorer.feasible(key):
+            return key
         del cuts[int(rng.integers(len(cuts)))]
 
 
@@ -174,11 +187,11 @@ def init_swarm(
     """
     pairs = _candidate_pairs(data, candidates)
     if not pairs:
-        particles = [_make_particle([], _rng(seed, 0, 0, 0), scorer)]
+        keys = [_make_particle([], _rng(seed, 0, 0, 0), scorer)]
     else:
         N = params.swarm_size
         half = math.ceil(N / 2)
-        particles = []
+        keys = []
         for i in range(N):
             rng = _rng(seed, 0, 0, i)
             if i == 0:
@@ -193,7 +206,8 @@ def init_swarm(
                 for (j, pos), k, off in zip(pairs, keep, offsets):
                     if k:
                         _set_snapped(cuts, data, j, pos + int(off))
-            particles.append(_make_particle(cuts, rng, scorer))
+            keys.append(_make_particle(cuts, rng, scorer))
+    particles = scorer.score_keys(keys)
     g = min(range(len(particles)), key=lambda i: (particles[i].total, i))
     return SwarmState(
         particles=particles,
@@ -265,11 +279,12 @@ def mutate(
     order = sorted(range(N), key=lambda i: (swarm.particles[i].total, i))
     best_idx = order[:k]
     worst_idx = order[::-1][:k]
+    keys = []
     for rank, src in enumerate(best_idx):
         rng = _rng(seed, 2, iteration, rank)
         cuts = _mutate_cuts(swarm.particles[src].key, data, pairs, rng)
-        mutant = _make_particle(cuts, rng, scorer)
-        slot = worst_idx[rank]
+        keys.append(_make_particle(cuts, rng, scorer))
+    for slot, mutant in zip(worst_idx, scorer.score_keys(keys)):
         swarm.particles[slot] = mutant
         if mutant.total < swarm.pbest[slot].total:
             swarm.pbest[slot] = mutant
@@ -325,6 +340,7 @@ def _advance(
     size = data.P * n
     gbest = _flat_of_key(swarm.gbest.key, n)
     rest = swarm.rest_velocity
+    keys = []
     for i, particle in enumerate(swarm.particles):
         pbest = swarm.pbest[i]
         x = _flat_of_key(particle.key, n)
@@ -349,9 +365,10 @@ def _advance(
         swarm.velocities[i] = dict(zip(at, v.tolist()))
         bits = update_particle_bit(x_at, pb_at, gb_at, v)
         cuts = [divmod(f, n) for f in agree.union(f for f, b in zip(at, bits) if b)]
-        moved = _make_particle(cuts, rng, scorer)
+        keys.append(_make_particle(cuts, rng, scorer))
+    for i, moved in enumerate(scorer.score_keys(keys)):
         swarm.particles[i] = moved
-        if moved.total < pbest.total:
+        if moved.total < swarm.pbest[i].total:
             swarm.pbest[i] = moved
     # The rest velocity takes the update of a position where all three
     # agree: both difference terms are exactly zero whatever r1 and r2.  It
@@ -387,10 +404,7 @@ def run_bpso(
     """
     if params is None:
         params = BpsoParams()
-    if params.swarm_size < 3:
-        raise InputError(f"swarm_size must be at least 3, got {params.swarm_size}")
-    if params.max_iter < 1:
-        raise InputError(f"max_iter must be at least 1, got {params.max_iter}")
+    params.check()
     if scorer is None:
         scorer = ConfigScorer(data, task)
     pairs = _candidate_pairs(data, candidates)

@@ -61,11 +61,13 @@ def fit_model(
 
     Raises InputError when the table has fewer rows than predictors: every
     region must hold at least P rows, so no configuration is feasible, not
-    even the no-break one.
+    even the no-break one.  Out-of-range swarm options raise InputError
+    before the scan runs.
     """
     if params is None:
         params = FitParams()
     data.validate_task(task)
+    params.swarm.check()
     if data.n < data.P:
         raise InputError(
             f"{data.n} rows for {data.P} predictors: fitting needs at least "

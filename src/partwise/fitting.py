@@ -7,14 +7,20 @@ damped-Newton maximum likelihood for the logistic and probit links.
 rule for single-class regions, which have no interior maximum.
 ``RegionDesign.fit_mask`` applies that rule to the intercept mask of such a
 region and reports every other mask infeasible, so a single-class region's
-menu is its one intercept fit.  The scan solves its least-squares segments
-as one stack under the rank rule of the per-mask solve (``solve_spd_stack``).
+menu is its one intercept fit.  A mask selecting a predictor that is
+constant over the region (``collinear_columns``) is infeasible in every
+region.  The scan solves its least-squares segments in stacks of at most
+STACK_SLOTS systems under the rank rule of the per-mask solve
+(``solve_spd_stack``).
 
-Damped Newton has two entry points that share one set of rules (warm
-start, the ridge switch at COND_LIMIT, step halving, NEWTON_TOL,
-MAX_NEWTON_ITER): ``_newton_glm`` fits one design, and
-``newton_glm_windows`` fits many row windows of one design at once, in
-stacks of at most STACK_SLOTS padded rows, for the scan.
+Damped Newton has one set of rules (warm start, the ridge switch at
+COND_LIMIT, step halving, NEWTON_TOL, MAX_NEWTON_ITER) and two loops:
+``_newton_glm`` fits one design, and ``_newton_stack`` fits a chunk of
+padded windows at once, in stacks of at most STACK_SLOTS padded rows.  Two
+entry points feed the stacked loop: ``newton_glm_windows`` takes row
+windows of one design, for the scan, and ``newton_glm_gathered`` takes a
+row index and a column subset per window, gathered from ``data.design``
+chunk by chunk, for the search's logistic and probit mask menus.
 """
 
 from __future__ import annotations
@@ -351,39 +357,64 @@ def newton_glm_windows(D, y, task, lo, hi, beta0):
     beta, NEWTON_TOL and MAX_NEWTON_ITER.  Windows are padded to a common
     length in chunks of at most STACK_SLOTS row slots (``stack_chunks``);
     each Newton iteration takes batched products and a stacked Cholesky
-    over a chunk's unconverged windows.  Returns ``(beta, nll, stabilized)``
-    as arrays over the windows.  Each value agrees with ``_newton_glm``'s
-    to rounding: sums run in a different order.
+    over a chunk's unconverged windows (``_newton_stack``).  Returns
+    ``(beta, nll, stabilized)`` as arrays over the windows.  Each value
+    agrees with ``_newton_glm``'s to rounding: sums run in a different order.
     """
     m, k = len(lo), D.shape[1]
     # Row n of the padded arrays is the padding row: a zero design row.
     D_pad = np.concatenate([D, np.zeros((1, k))])
     y_pad = np.concatenate([y, [0.0]])
-    sign_pad = 2.0 * y_pad - 1.0
     out = (np.empty((m, k)), np.empty(m), np.zeros(m, dtype=bool))
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     beta0 = np.asarray(beta0, dtype=np.float64)
     for chunk in stack_chunks(hi - lo):
-        _newton_stack(
-            D_pad, y_pad, sign_pad, task, lo[chunk], hi[chunk], beta0[chunk], chunk, out
-        )
+        width = int((hi[chunk] - lo[chunk]).max())
+        rows = lo[chunk, None] + np.arange(width)
+        inside = rows < hi[chunk, None]
+        rows = np.where(inside, rows, len(y_pad) - 1)
+        _newton_stack(task, D_pad[rows], y_pad[rows], inside, beta0[chunk], chunk, out)
     return out
 
 
-def _newton_stack(D_pad, y_pad, sign_pad, task, lo, hi, beta, where, out):
-    """One chunk of ``newton_glm_windows``; results go to ``out[.][where]``.
+def newton_glm_gathered(design, y, task, rows, cols):
+    """Damped Newton fits of many windows, each a row index ``rows[i]`` and
+    a column subset ``cols[i]`` of ``design``.
 
+    The windows' designs are gathered from ``design`` chunk by chunk, in
+    the chunks of ``stack_chunks``, so at most STACK_SLOTS padded rows are
+    held at once.  Every window starts from zero and is fitted under the
+    rules of ``newton_glm_windows``, in the same loop (``_newton_stack``).
+    ``cols`` is an ``(m, s)`` integer array, ``s >= 1``.  Returns ``(beta,
+    nll, stabilized)`` as arrays over the windows.
+    """
+    m, k = cols.shape
+    out = (np.empty((m, k)), np.empty(m), np.zeros(m, dtype=bool))
+    lengths = np.array([r.size for r in rows], dtype=np.int64)
+    for chunk in stack_chunks(lengths):
+        width = int(lengths[chunk].max())
+        inside = np.arange(width) < lengths[chunk, None]
+        # The windows' rows fill the prefixes of the chunk's padded rows in
+        # order; padding reads row 0 and is zeroed in the design.
+        at = np.zeros(inside.shape, dtype=np.int64)
+        at[inside] = np.concatenate([rows[i] for i in chunk])
+        D = design[at[:, :, None], cols[chunk, None, :]]
+        D *= inside[:, :, None]
+        _newton_stack(task, D, y[at], inside, np.zeros((chunk.size, k)), chunk, out)
+    return out
+
+
+def _newton_stack(task, D, y, inside, beta, where, out):
+    """Damped Newton fits of one chunk of padded windows; results go to
+    ``out[.][where]``.
+
+    ``D`` is ``(m, width, k)`` with zero rows at each window's padding,
+    ``y`` the matching responses, and ``inside`` flags each window's rows.
     Windows leave the stack as they finish.
     """
     logistic = task == TASK_LOGISTIC
-    width = int((hi - lo).max())
-    rows = lo[:, None] + np.arange(width)
-    inside = rows < hi[:, None]
-    rows = np.where(inside, rows, len(y_pad) - 1)
-    D = D_pad[rows]
-    y = y_pad[rows]
-    factor = sign_pad[rows]
+    factor = 2.0 * y - 1.0
     if logistic:
         factor = -factor
     valid = inside.astype(np.float64)
@@ -392,7 +423,7 @@ def _newton_stack(D_pad, y_pad, sign_pad, task, lo, hi, beta, where, out):
     t = np.matmul(D, beta[:, :, None])[:, :, 0]
     nll, log_cdf = _stack_nll(logistic, factor, t, valid)
     f = nll.copy()
-    penalized = np.zeros(len(lo), dtype=bool)
+    penalized = np.zeros(len(beta), dtype=bool)
     for it in range(MAX_NEWTON_ITER):
         g, H = _stack_grad_hess(logistic, D, y, factor, t, log_cdf)
         if it == 0:
@@ -512,6 +543,23 @@ def single_class_fit(task: str, y: np.ndarray) -> tuple[float, float]:
     return b0, classification_nll(task, np.full(y.size, b0), y)
 
 
+def collinear_columns(data: Dataset, rows: np.ndarray) -> np.ndarray:
+    """Flags over the design columns, intercept first, of the predictors
+    constant over ``rows``: each is collinear with the intercept.
+
+    A predictor with no repeated value is constant only over a single row,
+    so only predictors with ties are read.
+    """
+    out = np.zeros(data.P + 1, dtype=bool)
+    for j in range(data.P):
+        if rows.size <= 1:
+            out[j + 1] = True
+        elif data.cut_positions(j).size < data.n - 1:
+            values = data.X[rows, j]
+            out[j + 1] = (values == values[0]).all()
+    return out
+
+
 class RegionDesign:
     """Cached per-region design for enumerating variable masks.
 
@@ -520,7 +568,11 @@ class RegionDesign:
     mask costs one small Cholesky solve.  A classification
     region with a single class (``single_class``) has one fit, the
     intercept-only fit of :func:`single_class_fit`; every other mask is
-    infeasible there.
+    infeasible there.  So is, in every region, a mask selecting a predictor
+    that is constant over the region's rows (``collinear``).  Beside the
+    intercept such a column is rank deficient; in its place it fits the
+    same model as the intercept, and which of the two equal models a
+    region reported would rest on rounding.
     """
 
     def __init__(self, data: Dataset, rows: np.ndarray, task: str):
@@ -538,6 +590,8 @@ class RegionDesign:
         self.single_class = (
             task != TASK_REGRESSION and self.n_r > 0 and self.y.min() == self.y.max()
         )
+        self.collinear = collinear_columns(data, rows)
+        self._any_collinear = bool(self.collinear.any())
 
     def fit_mask(self, cols: np.ndarray, ix: tuple):
         """``(beta, fit_stat, stabilized)`` for the mask selecting design
@@ -545,6 +599,8 @@ class RegionDesign:
 
         ``ix`` is ``np.ix_(cols, cols)``, built once per mask by the caller.
         """
+        if self._any_collinear and self.collinear[cols].any():
+            return None
         if self.task == TASK_REGRESSION:
             if cols.size == 0:
                 return np.empty(0), self.yty, False
@@ -575,6 +631,7 @@ def fit_region(
     ``fit_stat`` is the residual sum of squares for regression and the
     negative log-likelihood for the binary links.  Raises SingularFitError
     when a regression design is rank deficient or has more columns than
+    rows, or when the mask selects a predictor that is constant over the
     rows.  A single-class region returns its intercept-only fit, flagged
     ``stabilized``, whatever ``mask`` asks for.
     """

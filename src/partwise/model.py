@@ -279,15 +279,17 @@ class PartitionGrid:
     """The grid of regions induced by a configuration on a dataset.
 
     ``region_of[i]`` is the region index of observation ``i``; memberships
-    and counts are derived from it.  ``segment_counts[b][z]`` is the number
-    of observations whose value on break predictor ``b`` falls in that
-    predictor's ``z``-th one-dimensional segment.
+    are derived from it.  It is None on a grid built from the region counts
+    alone, which is enough to score the grid but has no memberships.
+    ``segment_counts[b][z]`` is the number of observations whose value on
+    break predictor ``b`` falls in that predictor's ``z``-th one-dimensional
+    segment.
     """
 
     break_predictors: tuple[int, ...]
     thresholds: tuple[tuple[float, ...], ...]
     R: int
-    region_of: np.ndarray
+    region_of: np.ndarray | None
     region_counts: np.ndarray
     segment_counts: tuple[np.ndarray, ...]
 
@@ -347,10 +349,10 @@ def induce_partition(data: Dataset, config: ChangePointConfig) -> PartitionGrid:
 
 
 def partition_grid(
-    config: ChangePointConfig, region_of: np.ndarray, region_counts: np.ndarray
+    config: ChangePointConfig, region_of: np.ndarray | None, region_counts: np.ndarray
 ) -> PartitionGrid:
-    """The grid of ``config``, given each row's region index and the count
-    of rows in each region."""
+    """The grid of ``config``, given each row's region index (or None) and
+    the count of rows in each region."""
     shape = tuple(len(ts) + 1 for _, ts in config.breaks)
     # Region r's segment on break b is digit b of r, first break fastest.
     cube = region_counts.reshape(shape, order="F")
@@ -362,7 +364,7 @@ def partition_grid(
         break_predictors=config.break_predictors,
         thresholds=tuple(ts for _, ts in config.breaks),
         R=math.prod(shape),
-        region_of=_readonly(region_of),
+        region_of=None if region_of is None else _readonly(region_of),
         region_counts=_readonly(region_counts),
         segment_counts=segment_counts,
     )

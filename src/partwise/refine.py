@@ -8,9 +8,10 @@ prefer, and one sweep along all paths finds the minimum for regression,
 logistic and probit alike.  Each region's menu is exhaustive for
 regression.  For logistic and probit regions it is a bounded walk from the
 full mask down that skips every mask whose supersets' likelihoods already
-rule it out; the chosen masks are those of full enumeration.
-``final_adjust`` enumerates change-point subsets and small threshold shifts
-around a search solution and returns the best.
+rule it out (``_bounded_menus``); the chosen masks are those of full
+enumeration.  A mask that selects a predictor constant over the region is
+infeasible in every menu.  ``final_adjust`` enumerates change-point subsets
+and small threshold shifts around a search solution and returns the best.
 
 ``ConfigScorer`` wraps partition induction + feature selection + MDL into a
 single memoized evaluation, keyed by cut positions, so search loops never
@@ -18,12 +19,19 @@ score the same configuration twice.  The cached ``ScoredConfig`` is the
 search's only record of a scored key: the swarm holds it and
 ``final_adjust`` returns it.  Region choice paths are memoized too, keyed by
 the packed bitmap of the region's rows, and a region's rows are gathered
-only when its menu is built.  Its ``score_key`` is also the one
+only when its menu is built.  ``ConfigScorer.feasible`` is the one
 feasibility gate of the search: a key some region of which holds fewer
-than P rows scores None, decided in the same pass over the rows that would
-build its partition, or with no pass at all when the key has more regions
-than n / P.  Threshold values are built only for the
-configuration a key describes.
+than P rows scores None, decided in the same pass over the rows that
+yields its region bitmaps, or with no pass at all when the key has more
+regions than n / P.  ``ConfigScorer.score_keys`` scores a batch of keys:
+the regions the batch misses are built together, and the mixed-class
+logistic and probit ones walk level by level with each level's mask fits
+in one stacked Newton solve (``fitting.newton_glm_gathered``).  The swarm
+proposes a step's keys first and scores them in one batch, and
+``final_adjust`` scores its whole candidate list in one.  Regression menus
+are built region by region through LAPACK (``_region_menu``), in a batch
+or not.  Threshold values are built only for the configuration a key
+describes.
 """
 
 from __future__ import annotations
@@ -35,7 +43,9 @@ from functools import partial
 
 import numpy as np
 
-from .fitting import RegionDesign
+from .fitting import (
+    RegionDesign, _newton_glm, collinear_columns, newton_glm_gathered
+)
 from .mdl import MdlBreakdown, mdl_score, residual_code_regression
 from .model import (
     ChangePointConfig,
@@ -71,7 +81,7 @@ def _mask_table(n_params: int):
 
 
 _MASK_TABLES: dict[int, list] = {}
-_WALKS: dict[int, list] = {}
+_LEVELS: dict[int, list] = {}
 
 
 def _masks_for(n_params: int):
@@ -82,18 +92,19 @@ def _masks_for(n_params: int):
     return table
 
 
-def _walk_for(n_params: int):
-    """Mask-table entries from the full mask down, by popcount and then by
-    mask integer, each paired with its immediate supersets' mask integers."""
-    walk = _WALKS.get(n_params)
-    if walk is None:
-        walk = []
-        for entry in sorted(_masks_for(n_params), key=lambda e: (-e[2], e[0])):
+def _levels_for(n_params: int):
+    """Mask-table entries by popcount from the full mask down, each level
+    by mask integer, each entry paired with its immediate supersets' mask
+    integers."""
+    levels = _LEVELS.get(n_params)
+    if levels is None:
+        levels = [[] for _ in range(n_params + 1)]
+        for entry in _masks_for(n_params):
             m = entry[0]
             supersets = [m | (1 << i) for i in range(n_params) if not (m >> i) & 1]
-            walk.append((entry, supersets))
-        _WALKS[n_params] = walk
-    return walk
+            levels[n_params - entry[2]].append((entry, supersets))
+        _LEVELS[n_params] = levels
+    return levels
 
 
 def _stepwise_candidates(current: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -118,33 +129,98 @@ class SelectionResult:
         return self.breakdown.total
 
 
-def _bounded_menu(design: RegionDesign, n_params: int) -> list:
-    """Fits of one logistic or probit region for every mask that can win.
+def _bounded_menus(n_rs: list, n_params: int, fit) -> list:
+    """Fits of logistic or probit regions for every mask that can win.
 
     A region's value ``s * log2(n_r) / 2 + NLL`` does not depend on the other
     regions, and a mask's NLL is at least that of any of its supersets.  So
     the walk goes from the full mask down, and gives each mask a lower bound:
     the largest NLL among its immediate supersets.  A superset that was
-    skipped, or whose fit is stabilized (penalized or not converged), passes
-    on its own bound instead.  A mask whose value with that bound exceeds
-    the best value so far by more than BOUND_MARGIN is never fitted.  Every
-    skipped mask is strictly worse than the best, so the joint choice is
-    that of the full menu, ties included.
+    skipped, or whose fit is stabilized (penalized or not converged) or
+    infeasible, passes on its own bound instead.  A mask whose value with
+    that bound exceeds the best value so far by more than BOUND_MARGIN is
+    skipped.  Every skipped mask is strictly worse than the best, so the
+    joint choice is that of the full menu, ties included.
+
+    The regions, of ``n_rs`` rows each, are walked together one popcount
+    level at a time.  ``fit(asked)`` is handed a level's ``(region, mask
+    entry)`` pairs: every mask that its region's bound keeps against the
+    region's best before the level.  It returns a function that gives the
+    ``i``-th pair's ``(beta, fit_stat, stabilized)``, or None for an
+    infeasible mask; it may fit them all at once or each when asked.  The
+    level is then replayed mask by mask, in mask-integer order, with the
+    best updated as it goes, so a mask that an earlier mask of its level
+    rules out is skipped and is not asked for.  Each menu is that of a walk
+    that fits one mask at a time.  Returns the menus in walk order.
     """
-    half_log2n = 0.5 * math.log2(design.n_r)
-    passed = [0.0] * (1 << n_params)  # lower bound each mask hands its subsets
-    best = math.inf
-    menu = []
-    for (mask_int, cols, s, bools, ix), supersets in _walk_for(n_params):
-        bound = max((passed[m] for m in supersets), default=-math.inf)
-        if s * half_log2n + bound > best + BOUND_MARGIN:
-            passed[mask_int] = bound
-            continue
-        beta, stat, stab = design.fit_mask(cols, ix)
-        passed[mask_int] = bound if stab else stat
-        best = min(best, s * half_log2n + stat)
-        menu.append((s, bools, stat, beta, stab))
-    return menu
+    half = [0.5 * math.log2(n_r) for n_r in n_rs]
+    passed = [[0.0] * (1 << n_params) for _ in n_rs]  # bounds handed to subsets
+    best = [math.inf] * len(n_rs)
+    menus = [[] for _ in n_rs]
+    for level in _levels_for(n_params):
+        s = level[0][0][2]
+        bounds = [
+            [max((pr[m] for m in sups), default=-math.inf) for _, sups in level]
+            for pr in passed
+        ]
+        asked = [
+            (r, entry)
+            for r, (h, bs) in enumerate(zip(half, bounds))
+            for (entry, _), bound in zip(level, bs)
+            if not s * h + bound > best[r] + BOUND_MARGIN
+        ]
+        result = fit(asked)
+        at = {(r, entry[0]): i for i, (r, entry) in enumerate(asked)}
+        for r, (h, bs) in enumerate(zip(half, bounds)):
+            for ((mask_int, _, _, bools, _), _), bound in zip(level, bs):
+                res = None
+                if not s * h + bound > best[r] + BOUND_MARGIN:
+                    res = result(at[r, mask_int])
+                if res is None:
+                    passed[r][mask_int] = bound
+                    continue
+                beta, stat, stab = res
+                passed[r][mask_int] = bound if stab else stat
+                best[r] = min(best[r], s * h + stat)
+                menus[r].append((s, bools, stat, beta, stab))
+    return menus
+
+
+def _stacked_menus(data: Dataset, task: str, regions: list) -> list:
+    """``_bounded_menus`` of the mixed-class regions with rows ``regions``,
+    each level's fits run as one stacked solve.
+
+    The fits with at least one column go to ``newton_glm_gathered``, which
+    gathers each one's rows and columns from ``data.design`` chunk by chunk;
+    no region design is built.  The empty mask is fitted by ``_newton_glm``,
+    and a mask selecting a predictor constant over its region is
+    infeasible, as in ``RegionDesign.fit_mask``.
+    """
+    collinear = [collinear_columns(data, rows) for rows in regions]
+
+    def fit(asked):
+        out = [None] * len(asked)
+        todo = [i for i, (r, e) in enumerate(asked) if not collinear[r][e[1]].any()]
+        if not todo:
+            return out.__getitem__
+        if asked[todo[0]][1][2] == 0:
+            for i in todo:
+                y = data.y[regions[asked[i][0]]]
+                beta, nll, _conv, stab = _newton_glm(np.empty((y.size, 0)), y, task)
+                out[i] = (beta, nll, stab)
+            return out.__getitem__
+        beta, nll, stab = newton_glm_gathered(
+            data.design,
+            data.y,
+            task,
+            [regions[asked[i][0]] for i in todo],
+            np.array([asked[i][1][1] for i in todo]),
+        )
+        for i, b, value, flag in zip(todo, beta, nll.tolist(), stab.tolist()):
+            out[i] = (b.copy(), value, flag)
+        return out.__getitem__
+
+    return _bounded_menus([rows.size for rows in regions], data.P + 1, fit)
 
 
 def _region_menu(design: RegionDesign, n_params: int, exhaustive: bool):
@@ -152,8 +228,9 @@ def _region_menu(design: RegionDesign, n_params: int, exhaustive: bool):
 
     Returns a list of ``(s, lex, fit_stat, beta, stabilized)`` sorted by
     (s, lex), which is exactly the tie-break order.  Logistic and probit
-    regions leave out masks that cannot win (``_bounded_menu``).  A
-    single-class region's menu is its one feasible mask, the intercept.
+    regions leave out masks that cannot win (``_bounded_menus``, fitting one
+    mask at a time through ``design.fit_mask``).  A single-class region's
+    menu is its one feasible mask, the intercept.
     """
     menu = []
     seen: set[tuple[int, ...]] = set()
@@ -174,7 +251,11 @@ def _region_menu(design: RegionDesign, n_params: int, exhaustive: bool):
     if design.single_class:
         consider((1,) + (0,) * (n_params - 1))
     elif exhaustive and design.task != TASK_REGRESSION:
-        menu = _bounded_menu(design, n_params)
+        (menu,) = _bounded_menus(
+            [design.n_r],
+            n_params,
+            lambda asked: lambda i: design.fit_mask(asked[i][1][1], asked[i][1][4]),
+        )
     elif exhaustive:
         for _, cols, s, bools, ix in _masks_for(n_params):
             res = design.fit_mask(cols, ix)
@@ -285,7 +366,7 @@ def select_features(
 
     When P+1 <= 15 a region's menu covers all ``2^(P+1)`` masks: regression
     fits every one, and logistic and probit skip the masks a likelihood
-    bound rules out (``_bounded_menu``), with the same result.  Beyond that
+    bound rules out (``_bounded_menus``), with the same result.  Beyond that
     the menu holds the masks a greedy bidirectional stepwise walk fits.
 
     ``region_cache`` lets callers reuse a region's choice path, built once
@@ -300,9 +381,6 @@ def select_features(
     if region_cache is None:
         region_cache = {}
 
-    regression = task == TASK_REGRESSION
-    # float is the identity on the summed NLL of the logistic and probit links.
-    residual = partial(residual_code_regression, data.n) if regression else float
     paths = []
     for r, count in enumerate(grid.region_counts.tolist()):
         in_r = grid.region_of == r
@@ -314,8 +392,17 @@ def select_features(
             path = _choice_path(menu, 0.5 * math.log2(count))
             region_cache[ck] = path
         paths.append(path)
-    chosen = _joint_choice(paths, residual)
+    return _selection(data, task, grid, paths)
 
+
+def _selection(
+    data: Dataset, task: str, grid: PartitionGrid, paths: list
+) -> SelectionResult:
+    """The joint choice over the regions' choice paths, and its score."""
+    regression = task == TASK_REGRESSION
+    # float is the identity on the summed NLL of the logistic and probit links.
+    residual = partial(residual_code_regression, data.n) if regression else float
+    chosen = _joint_choice(paths, residual)
     fits = [
         RegionFit(np.array(bools, dtype=bool), beta, stat, stabilized=stab)
         for _, bools, stat, beta, stab in chosen
@@ -342,9 +429,11 @@ class ConfigScorer:
 
     Keys are tuples of ``(predictor, (cut positions...))`` pairs, ascending.
     Scoring the same key twice returns the cached result, which keeps the
-    swarm search cheap once it concentrates.  ``score_key`` is also the
-    search's one feasibility gate: an infeasible key scores None, and that
-    answer is memoized too.  ``evaluations`` counts the feasible keys scored.
+    swarm search cheap once it concentrates.  ``feasible`` is the search's
+    one feasibility gate: an infeasible key scores None, and that answer is
+    memoized too.  ``score_keys`` scores a batch of keys at once, so the
+    region menus the batch misses are built together.  ``evaluations``
+    counts the feasible keys scored.
     """
 
     def __init__(self, data: Dataset, task: str):
@@ -354,6 +443,8 @@ class ConfigScorer:
         self.evaluations = 0
         self._cache: dict[tuple, ScoredConfig | None] = {}
         self._region_cache: dict = {}
+        # Feasible keys not scored yet: their region counts and bitmaps.
+        self._gated: dict[tuple, tuple] = {}
 
     # -- key plumbing ------------------------------------------------------
 
@@ -370,33 +461,93 @@ class ConfigScorer:
 
     # -- scoring -----------------------------------------------------------
 
-    def score_key(self, key: tuple) -> ScoredConfig | None:
-        """The key's feature-selected score, or None when it is infeasible:
-        some region it induces holds fewer than P observations.
+    def feasible(self, key: tuple) -> bool:
+        """Whether every region the key induces holds at least P rows.
 
-        Rows are assigned to regions once per distinct key, and a rejected
-        key builds nothing more.  A key with more regions than n / P is
-        rejected before that pass: some region must hold fewer than P rows.
+        Rows are assigned to regions once per distinct key.  A key with more
+        regions than n / P is rejected before that pass: some region must
+        hold fewer than P rows.  A rejected key is memoized as scoring
+        None.  A feasible key keeps its region counts and the packed bitmap
+        of each region's rows until it is scored.
         """
         if key in self._cache:
-            return self._cache[key]
+            return self._cache[key] is not None
+        if key in self._gated:
+            return True
         R = math.prod(len(ps) + 1 for _, ps in key)
         if R * self.data.P > self.data.n:
             self._cache[key] = None
-            return None
+            return False
         region_of = _region_index(key, self.data.rank)
         region_counts = np.bincount(region_of, minlength=R)
-        scored = None
-        if int(region_counts.min()) >= self.data.P:
+        if int(region_counts.min()) < self.data.P:
+            self._cache[key] = None
+            return False
+        bitmaps = [np.packbits(region_of == r).tobytes() for r in range(R)]
+        self._gated[key] = (region_counts, bitmaps)
+        return True
+
+    def score_keys(self, keys: list) -> list:
+        """Each key's feature-selected score, or None for an infeasible key.
+
+        Every key passes ``feasible`` first.  The regions of the batch's new
+        feasible keys that miss the region cache have their choice paths
+        built together (``_build_paths``), and each new key's selection is
+        then finished from the cache.
+        """
+        for key in keys:
+            self.feasible(key)
+        fresh = [key for key in dict.fromkeys(keys) if key in self._gated]
+        missing = {}
+        for key in fresh:
+            region_counts, bitmaps = self._gated[key]
+            for bitmap, count in zip(bitmaps, region_counts.tolist()):
+                if bitmap not in self._region_cache:
+                    missing[bitmap] = count
+        self._build_paths(missing)
+        for key in fresh:
+            region_counts, bitmaps = self._gated.pop(key)
             config = self.config_of_key(key)
-            grid = partition_grid(config, region_of, region_counts)
-            selection = select_features(
-                self.data, self.task, grid, region_cache=self._region_cache
-            )
-            scored = ScoredConfig(key=key, config=config, selection=selection)
+            grid = partition_grid(config, None, region_counts)
+            paths = [self._region_cache[bitmap] for bitmap in bitmaps]
+            selection = _selection(self.data, self.task, grid, paths)
+            self._cache[key] = ScoredConfig(key=key, config=config, selection=selection)
             self.evaluations += 1
-        self._cache[key] = scored
-        return scored
+        return [self._cache[key] for key in keys]
+
+    def score_key(self, key: tuple) -> ScoredConfig | None:
+        """``score_keys`` of the one key."""
+        return self.score_keys([key])[0]
+
+    def _build_paths(self, missing: dict) -> None:
+        """Choice paths of the regions ``missing`` maps (bitmap to row
+        count), into the region cache.
+
+        Each region's rows are unpacked from its bitmap.  Mixed-class
+        logistic and probit regions with exhaustive menus are walked
+        together (``_stacked_menus``); every other region's menu is built
+        on its own by ``_region_menu``.
+        """
+        data, task = self.data, self.task
+        n_params = data.P + 1
+        exhaustive = n_params <= EXHAUSTIVE_MASK_LIMIT
+        stacked = {}
+        for bitmap, count in missing.items():
+            bits = np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8), count=data.n)
+            rows = np.flatnonzero(bits.view(bool))
+            if task != TASK_REGRESSION and exhaustive:
+                y = data.y[rows]
+                if y.min() != y.max():
+                    stacked[bitmap] = rows
+                    continue
+            menu = _region_menu(RegionDesign(data, rows, task), n_params, exhaustive)
+            self._region_cache[bitmap] = _choice_path(menu, 0.5 * math.log2(count))
+        if not stacked:
+            return
+        menus = _stacked_menus(data, task, list(stacked.values()))
+        for (bitmap, rows), menu in zip(stacked.items(), menus):
+            menu.sort(key=lambda e: (e[0], e[1]))
+            self._region_cache[bitmap] = _choice_path(menu, 0.5 * math.log2(rows.size))
 
 
 def final_adjust(
@@ -411,10 +562,11 @@ def final_adjust(
     to ``SUBSET_CAP`` points, otherwise the full set plus single-drop
     subsets).  Around each subset, each retained threshold is additionally
     shifted one at a time by ``+-1..SHIFT_RADIUS`` order-statistic positions.
-    Candidates work on cut positions, and the infeasible ones (``score_key``
-    returns None) are skipped.  The feature-selected MDL minimizer is
-    returned; the incumbent, which must be feasible, is scored first, so the
-    result never scores worse than the input.
+    Candidates work on cut positions and are scored in one batch
+    (``score_keys``); the infeasible ones score None and are skipped.  The
+    feature-selected MDL minimizer is returned, the first in this order on
+    equal scores; the incumbent, which must be feasible, is scored first,
+    so the result never scores worse than the input.
     """
     if scorer is None:
         scorer = ConfigScorer(data, task)
@@ -438,15 +590,10 @@ def final_adjust(
             [i for i in range(m) if i != drop] for drop in range(m)
         ]
 
-    def try_key(key):
-        nonlocal best
-        sc = scorer.score_key(key)
-        if sc is not None and sc.total < best.total:
-            best = sc
-
+    keys = []
     for keep in keep_sets:
         kept = [pairs[i] for i in keep]
-        try_key(_key_from_pairs(kept))
+        keys.append(_key_from_pairs(kept))
         for slot in range(len(kept)):
             j, pos = kept[slot]
             for delta in itertools.chain(
@@ -458,7 +605,10 @@ def final_adjust(
                 variant = kept[:slot] + [(j, moved)] + kept[slot + 1 :]
                 if len({p for p in variant}) < len(variant):
                     continue
-                try_key(_key_from_pairs(variant))
+                keys.append(_key_from_pairs(variant))
+    for sc in scorer.score_keys(keys):
+        if sc is not None and sc.total < best.total:
+            best = sc
     return best
 
 

@@ -27,7 +27,12 @@ import math
 import numpy as np
 
 from .fitting import (
-    _newton_glm, full_design, newton_glm_windows, single_class_fit, solve_spd_stack
+    STACK_SLOTS,
+    _newton_glm,
+    full_design,
+    newton_glm_windows,
+    single_class_fit,
+    solve_spd_stack,
 )
 from .mdl import SIGMA2_FLOOR
 from .model import Dataset, InputError, TASK_REGRESSION
@@ -44,11 +49,12 @@ class _RegressionSegments:
     """Full-mask RSS of sorted-order segments via prefix Gram sums.
 
     Segments are solved by ``fitting.solve_spd_stack``, the Cholesky solve
-    and rank rule of every other least-squares fit, stacked; the systems it
-    rejects go to least squares one by one.  The RSS of every prefix segment ``[0, b)`` and suffix segment ``[b, n)``
-    is kept once solved.  Each greedy step after the first meets again the
-    prefixes and suffixes the first step solved, so only its interior
-    segments are solved.
+    and rank rule of every other least-squares fit, in stacks of at most
+    STACK_SLOTS systems; the systems it rejects go to least squares one by
+    one.  The RSS of every prefix segment ``[0, b)`` and suffix segment
+    ``[b, n)`` is kept once solved.  Each greedy step after the first meets
+    again the prefixes and suffixes the first step solved, so only its
+    interior segments are solved.
     """
 
     def __init__(self, data: Dataset, j: int):
@@ -67,16 +73,21 @@ class _RegressionSegments:
         np.cumsum(y * y, out=self._yy[1:])
 
     def stat(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """RSS of every segment ``[lo_i, hi_i)``, solved as one stack."""
-        G = self._G[hi] - self._G[lo]
-        c = self._c[hi] - self._c[lo]
-        yy = self._yy[hi] - self._yy[lo]
-        beta, solved = solve_spd_stack(G, c)
-        for i in np.flatnonzero(~solved):
-            beta[i] = np.linalg.lstsq(G[i], c[i], rcond=None)[0]
-        # A stacked matmul takes the same dot product as ``beta_i @ c_i``.
-        fitted = np.matmul(beta[:, None, :], c[:, :, None])[:, 0, 0]
-        return np.maximum(yy - fitted, 0.0)
+        """RSS of every segment ``[lo_i, hi_i)``, solved in stacks of at most
+        STACK_SLOTS systems."""
+        out = np.empty(len(lo))
+        for start in range(0, len(lo), STACK_SLOTS):
+            at = slice(start, start + STACK_SLOTS)
+            G = self._G[hi[at]] - self._G[lo[at]]
+            c = self._c[hi[at]] - self._c[lo[at]]
+            yy = self._yy[hi[at]] - self._yy[lo[at]]
+            beta, solved = solve_spd_stack(G, c)
+            for i in np.flatnonzero(~solved):
+                beta[i] = np.linalg.lstsq(G[i], c[i], rcond=None)[0]
+            # A stacked matmul takes the same dot product as ``beta_i @ c_i``.
+            fitted = np.matmul(beta[:, None, :], c[:, :, None])[:, 0, 0]
+            out[at] = np.maximum(yy - fitted, 0.0)
+        return out
 
     def stats(self, lo, hi, parent_lo, parent_hi) -> np.ndarray:
         """Segment statistics; least squares needs no parent fit.

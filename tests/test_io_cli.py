@@ -362,6 +362,23 @@ def test_out_of_range_argument_exits_2(case, reg_csv, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "m.json")
 
 
+@pytest.mark.parametrize("option", [["--swarm-size", "2"], ["--max-iter", "0"]])
+def test_swarm_options_are_checked_before_the_scan(
+    option, reg_csv, tmp_path, capsys, monkeypatch
+):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr("partwise.estimator.scan_candidates", no_scan)
+    out = tmp_path / "m.json"
+    code = main(["fit", "--data", reg_csv, "--response", "y", "--task", "regression",
+                 "--out", str(out)] + option)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and option[0].lstrip("-").replace("-", "_") in err
+    assert not out.exists()
+
+
 FIT = ["fit", "--response", "y", "--task", "regression"]
 
 # Tokens are formatted with the paths of the test: the training table, a

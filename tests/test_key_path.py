@@ -131,8 +131,8 @@ def test_key_path_matches_threshold_path(seed):
 
 def test_one_region_pass_per_distinct_key(monkeypatch):
     """A fit assigns rows to regions once for each distinct key it asks
-    about, feasible or not, except a key with more regions than n / P, which
-    is rejected without a pass; asking again costs no pass, and
+    the gate about, feasible or not, except a key with more regions than
+    n / P, which is rejected without a pass; asking again costs no pass, and
     ``evaluations`` counts the feasible keys."""
     import partwise.model as model_mod
     import partwise.refine as refine_mod
@@ -146,17 +146,17 @@ def test_one_region_pass_per_distinct_key(monkeypatch):
         return real_index(breaks, columns)
 
     asked, scorers = [], []
-    real_score = ConfigScorer.score_key
+    real_gate = ConfigScorer.feasible
 
-    def recorded_score(self, key):
+    def recorded_gate(self, key):
         asked.append(key)
         if self not in scorers:
             scorers.append(self)
-        return real_score(self, key)
+        return real_gate(self, key)
 
     monkeypatch.setattr(model_mod, "_region_index", counted_index)
     monkeypatch.setattr(refine_mod, "_region_index", counted_index)
-    monkeypatch.setattr(ConfigScorer, "score_key", recorded_score)
+    monkeypatch.setattr(ConfigScorer, "feasible", recorded_gate)
 
     rng = np.random.default_rng(23)
     X = rng.uniform(0.0, 1.0, (60, 3))

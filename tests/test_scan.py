@@ -288,6 +288,27 @@ class TestStackedRegressionScan:
         assert scan_candidates(data, "regression") == want
 
 
+    @pytest.mark.parametrize("slots", [1, 5, 64])
+    def test_stack_cap_changes_no_bit(self, slots, monkeypatch):
+        """One stack holds at most STACK_SLOTS systems; each system rounds
+        as it does in a stack of any size."""
+        import partwise.fitting as fitting_mod
+        import partwise.scan as scan_mod
+
+        rng = np.random.default_rng([2, 91])
+        data = generate(SETTINGS["reg1"], 150, rng)
+        singular = _singular_segments_data(5)
+        lo = np.arange(0, singular.n - 12, 7)
+        hi = np.minimum(lo + 12 + lo % 29, singular.n)
+        want_candidates = scan_candidates(data, "regression")
+        want_stats = _RegressionSegments(singular, 1).stat(lo, hi)
+        monkeypatch.setattr(scan_mod, "STACK_SLOTS", slots)
+        monkeypatch.setattr(fitting_mod, "STACK_SLOTS", slots)
+        assert scan_candidates(data, "regression") == want_candidates
+        got_stats = _RegressionSegments(singular, 1).stat(lo, hi)
+        assert got_stats.tobytes() == want_stats.tobytes()
+
+
 class TestStackedBinaryScan:
     """The binary scan fits each step's segments in one stacked solve; its
     candidates equal those of the cut-by-cut loop, which fits every segment

@@ -254,6 +254,43 @@ def test_cases_exercise_repair_and_revisited_positions():
     assert revisited >= 10
 
 
+def assert_same_up_to_rounding(sparse, dense, data):
+    """``assert_same``, with MDL totals equal to 1e-12 relative: a batch
+    stacks a region's mask fits with other regions' fits, which sums their
+    likelihoods in another order than a batch of one key."""
+    for got, want in ((sparse.particles, dense.particles), (sparse.pbest, dense.pbest),
+                      ([sparse.gbest], [dense.gbest])):
+        assert [p.key for p in got] == [p[1] for p in want]
+        assert [p.total for p in got] == pytest.approx([p[2] for p in want], rel=1e-12)
+    assert dense_velocities(sparse, data).tobytes() == dense.velocities.tobytes()
+
+
+@pytest.mark.parametrize("task", ["regression", "logistic", "probit"])
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_scoring_matches_scoring_each_key_as_proposed(task, seed):
+    """The swarm proposes all keys of a step, then scores them in one
+    batch; the dense reference scores each key as it proposes it."""
+    data, candidates, params = parity_case(seed)
+    if task != "regression":
+        data = Dataset(data.X, (data.y > np.median(data.y)).astype(float))
+    same = assert_same if task == "regression" else assert_same_up_to_rounding
+    batched_scorer = ConfigScorer(data, task)
+    each_scorer = ConfigScorer(data, task)
+    batched = init_swarm(data, candidates, params, seed, batched_scorer)
+    each = DenseSwarm(data, candidates, params, seed, each_scorer)
+    same(batched, each, data)
+    pairs = _candidate_pairs(data, candidates)
+    for t in range(1, 4):
+        _advance(batched, data, seed, t, batched_scorer)
+        each.advance(t)
+        mutate(batched, data, pairs, seed, t, batched_scorer)
+        each.mutate(t)
+        _refresh_gbest(batched)
+        each.refresh()
+        same(batched, each, data)
+        assert batched_scorer.evaluations == each_scorer.evaluations
+
+
 def test_empty_candidates_match():
     data, _, params = parity_case(0)
     run_both(data, {}, params, seed=4, iterations=3)

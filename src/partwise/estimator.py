@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .bpso import BpsoParams, run_bpso
-from .mdl import SIGMA2_FLOOR
+from .mdl import sigma2_hat
 from .model import (  # noqa: F401 (the prediction names are re-exported)
     Dataset,
     FittedModel,
@@ -118,7 +118,7 @@ def _to_model(
     sigma2 = None
     if task == TASK_REGRESSION:
         rss = sum(f.fit_stat for f in scored.selection.fits)
-        sigma2 = max(rss / data.n, SIGMA2_FLOOR)
+        sigma2 = sigma2_hat(data.n, rss)
     return FittedModel(
         task=task,
         config=scored.config,

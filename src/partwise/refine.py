@@ -5,33 +5,28 @@ exact minimizer of the total criterion over the regions' menus of mask
 fits (on a tie, the choice with fewer columns).  Each menu is reduced once
 to its choice path, the entries some weighting of bits against fit can
 prefer, and one sweep along all paths finds the minimum for regression,
-logistic and probit alike.  Each region's menu is exhaustive for
-regression.  For logistic and probit regions it is a bounded walk from the
-full mask down that skips every mask whose supersets' likelihoods already
-rule it out (``_bounded_menus``); the chosen masks are those of full
-enumeration.  A mask that selects a predictor constant over the region is
-infeasible in every menu.  ``final_adjust`` enumerates change-point subsets
-and small threshold shifts around a search solution and returns the best.
+logistic and probit alike.  The prices and the residual code come from
+``mdl``.  Each region's menu is exhaustive for regression.  For logistic
+and probit regions it is a bounded walk from the full mask down that skips
+every mask whose supersets' likelihoods already rule it out
+(``_bounded_menus``), walked for many regions at once level by level, each
+level's mask fits one stacked Newton solve (``_stacked_menus``); the chosen
+masks are those of full enumeration.  A mask that selects a predictor
+constant over the region is infeasible in every menu.  ``final_adjust``
+enumerates change-point subsets and small threshold shifts around a search
+solution and returns the best.
 
 ``ConfigScorer`` wraps partition induction + feature selection + MDL into a
 single memoized evaluation, keyed by cut positions, so search loops never
-score the same configuration twice.  The cached ``ScoredConfig`` is the
-search's only record of a scored key: the swarm holds it and
-``final_adjust`` returns it.  Region choice paths are memoized too, keyed by
-the packed bitmap of the region's rows, and a region's rows are gathered
-only when its menu is built.  ``ConfigScorer.feasible`` is the one
-feasibility gate of the search: a key some region of which holds fewer
-than P rows scores None, decided in the same pass over the rows that
-yields its region bitmaps, or with no pass at all when the key has more
-regions than n / P.  ``ConfigScorer.score_keys`` scores a batch of keys:
-the regions the batch misses are built together, and the mixed-class
-logistic and probit ones walk level by level with each level's mask fits
-in one stacked Newton solve (``fitting.newton_glm_gathered``).  The swarm
-proposes a step's keys first and scores them in one batch, and
-``final_adjust`` scores its whole candidate list in one.  Regression menus
-are built region by region through LAPACK (``_region_menu``), in a batch
-or not.  Threshold values are built only for the configuration a key
-describes.
+score the same configuration twice; the cached ``ScoredConfig`` is the
+search's only record of a scored key.  ``ConfigScorer.feasible`` is the one
+feasibility gate: a key some region of which holds fewer than P rows scores
+None.  ``ConfigScorer.score_keys`` scores a batch of keys, and the swarm and
+``final_adjust`` propose all their keys before scoring them in one batch.
+Region choice paths are memoized, keyed by the packed bitmap of the
+region's rows; the menus of the regions a batch misses are built together
+by ``_build_paths``, which ``select_features`` calls too, so both score a
+partition from the same menus.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ import numpy as np
 from .fitting import (
     RegionDesign, _newton_glm, collinear_columns, newton_glm_gathered
 )
-from .mdl import MdlBreakdown, mdl_score, residual_code_regression
+from .mdl import MdlBreakdown, coefficient_bits, mdl_score, residual_bits
 from .model import (
     ChangePointConfig,
     Dataset,
@@ -153,7 +148,7 @@ def _bounded_menus(n_rs: list, n_params: int, fit) -> list:
     rules out is skipped and is not asked for.  Each menu is that of a walk
     that fits one mask at a time.  Returns the menus in walk order.
     """
-    half = [0.5 * math.log2(n_r) for n_r in n_rs]
+    half = [coefficient_bits(n_r) for n_r in n_rs]
     passed = [[0.0] * (1 << n_params) for _ in n_rs]  # bounds handed to subsets
     best = [math.inf] * len(n_rs)
     menus = [[] for _ in n_rs]
@@ -224,13 +219,15 @@ def _stacked_menus(data: Dataset, task: str, regions: list) -> list:
 
 
 def _region_menu(design: RegionDesign, n_params: int, exhaustive: bool):
-    """Feasible (value-relevant) fits of one region for every candidate mask.
+    """Feasible (value-relevant) fits of one region, one mask at a time
+    through ``design.fit_mask``.
 
     Returns a list of ``(s, lex, fit_stat, beta, stabilized)`` sorted by
-    (s, lex), which is exactly the tie-break order.  Logistic and probit
-    regions leave out masks that cannot win (``_bounded_menus``, fitting one
-    mask at a time through ``design.fit_mask``).  A single-class region's
-    menu is its one feasible mask, the intercept.
+    (s, lex), which is exactly the tie-break order.  An exhaustive menu
+    holds every feasible mask; the search sends it regression regions only,
+    since mixed-class logistic and probit regions take the bounded walk of
+    ``_stacked_menus``.  A stepwise menu holds the masks the walk fits.  A
+    single-class region's menu is its one feasible mask, the intercept.
     """
     menu = []
     seen: set[tuple[int, ...]] = set()
@@ -250,12 +247,6 @@ def _region_menu(design: RegionDesign, n_params: int, exhaustive: bool):
 
     if design.single_class:
         consider((1,) + (0,) * (n_params - 1))
-    elif exhaustive and design.task != TASK_REGRESSION:
-        (menu,) = _bounded_menus(
-            [design.n_r],
-            n_params,
-            lambda asked: lambda i: design.fit_mask(asked[i][1][1], asked[i][1][4]),
-        )
     elif exhaustive:
         for _, cols, s, bools, ix in _masks_for(n_params):
             res = design.fit_mask(cols, ix)
@@ -266,7 +257,7 @@ def _region_menu(design: RegionDesign, n_params: int, exhaustive: bool):
     else:
         # Greedy bidirectional stepwise on fit_stat alone would ignore the
         # (s/2) log2 n_r cost, so step on the per-region MDL contribution.
-        half_log2n = 0.5 * math.log2(design.n_r)
+        half_log2n = coefficient_bits(design.n_r)
         current = tuple([1] * n_params)
         entry = consider(current)
         if entry is None:
@@ -356,8 +347,7 @@ def select_features(
 
     The criterion is ``A + residual(S)``: ``A`` sums the regions'
     ``s * log2(n_r) / 2`` and ``S`` their ``fit_stat``; ``residual`` is
-    ``(n/2) ln(max(S/n, SIGMA2_FLOOR))`` for regression and ``S`` itself for
-    logistic and probit.  The masks returned minimize it over the product
+    ``mdl.residual_bits``.  The masks returned minimize it over the product
     of the region menus, and on a tie the choice with fewer columns wins
     (``_joint_choice``).  This is exact because the residual is concave and
     nondecreasing in ``S``, with one exception: when a key's least
@@ -366,42 +356,59 @@ def select_features(
 
     When P+1 <= 15 a region's menu covers all ``2^(P+1)`` masks: regression
     fits every one, and logistic and probit skip the masks a likelihood
-    bound rules out (``_bounded_menus``), with the same result.  Beyond that
-    the menu holds the masks a greedy bidirectional stepwise walk fits.
+    bound rules out, with the same result.  Beyond that the menu holds the
+    masks a greedy bidirectional stepwise walk fits.  The menus are built
+    as the search builds them (``_build_paths``).
 
-    ``region_cache`` lets callers reuse a region's choice path, built once
-    from its menu, across configurations that share regions.  It is keyed
-    by region membership: the packed bitmap of the region's rows, n/8
-    bytes, which is exact.  The rows themselves are gathered only on a
-    miss.  A single-class region's menu is its one intercept fit, so its
-    choice never moves.
+    ``region_cache`` lets callers reuse a region's choice path across
+    configurations that share regions.  It is keyed by the packed bitmap of
+    the region's rows, n/8 bytes, which is exact.
+    """
+    data.validate_task(task)
+    if region_cache is None:
+        region_cache = {}
+    bitmaps = [np.packbits(grid.region_of == r).tobytes() for r in range(grid.R)]
+    _build_paths(data, task, dict(zip(bitmaps, grid.region_counts.tolist())), region_cache)
+    return _selection(data, task, grid, [region_cache[b] for b in bitmaps])
+
+
+def _build_paths(data: Dataset, task: str, regions: dict, region_cache: dict) -> None:
+    """Choice paths of the regions ``regions`` maps (bitmap to row count)
+    that miss ``region_cache``, into it.
+
+    Each region's rows are unpacked from its bitmap.  Mixed-class logistic
+    and probit regions with exhaustive menus are walked together
+    (``_stacked_menus``); every other region's menu is built on its own by
+    ``_region_menu``.
     """
     n_params = data.P + 1
     exhaustive = n_params <= EXHAUSTIVE_MASK_LIMIT
-    if region_cache is None:
-        region_cache = {}
-
-    paths = []
-    for r, count in enumerate(grid.region_counts.tolist()):
-        in_r = grid.region_of == r
-        ck = np.packbits(in_r).tobytes()
-        path = region_cache.get(ck)
-        if path is None:
-            design = RegionDesign(data, np.flatnonzero(in_r), task)
-            menu = _region_menu(design, n_params, exhaustive)
-            path = _choice_path(menu, 0.5 * math.log2(count))
-            region_cache[ck] = path
-        paths.append(path)
-    return _selection(data, task, grid, paths)
+    stacked = {}
+    for bitmap, count in regions.items():
+        if bitmap in region_cache:
+            continue
+        bits = np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8), count=data.n)
+        rows = np.flatnonzero(bits.view(bool))
+        if task != TASK_REGRESSION and exhaustive:
+            y = data.y[rows]
+            if y.min() != y.max():
+                stacked[bitmap] = rows
+                continue
+        menu = _region_menu(RegionDesign(data, rows, task), n_params, exhaustive)
+        region_cache[bitmap] = _choice_path(menu, coefficient_bits(count))
+    if not stacked:
+        return
+    menus = _stacked_menus(data, task, list(stacked.values()))
+    for (bitmap, rows), menu in zip(stacked.items(), menus):
+        menu.sort(key=lambda e: (e[0], e[1]))
+        region_cache[bitmap] = _choice_path(menu, coefficient_bits(rows.size))
 
 
 def _selection(
     data: Dataset, task: str, grid: PartitionGrid, paths: list
 ) -> SelectionResult:
     """The joint choice over the regions' choice paths, and its score."""
-    regression = task == TASK_REGRESSION
-    # float is the identity on the summed NLL of the logistic and probit links.
-    residual = partial(residual_code_regression, data.n) if regression else float
+    residual = partial(residual_bits, task, data.n)
     chosen = _joint_choice(paths, residual)
     fits = [
         RegionFit(np.array(bools, dtype=bool), beta, stat, stabilized=stab)
@@ -498,13 +505,11 @@ class ConfigScorer:
         for key in keys:
             self.feasible(key)
         fresh = [key for key in dict.fromkeys(keys) if key in self._gated]
-        missing = {}
+        regions = {}
         for key in fresh:
             region_counts, bitmaps = self._gated[key]
-            for bitmap, count in zip(bitmaps, region_counts.tolist()):
-                if bitmap not in self._region_cache:
-                    missing[bitmap] = count
-        self._build_paths(missing)
+            regions.update(zip(bitmaps, region_counts.tolist()))
+        _build_paths(self.data, self.task, regions, self._region_cache)
         for key in fresh:
             region_counts, bitmaps = self._gated.pop(key)
             config = self.config_of_key(key)
@@ -518,36 +523,6 @@ class ConfigScorer:
     def score_key(self, key: tuple) -> ScoredConfig | None:
         """``score_keys`` of the one key."""
         return self.score_keys([key])[0]
-
-    def _build_paths(self, missing: dict) -> None:
-        """Choice paths of the regions ``missing`` maps (bitmap to row
-        count), into the region cache.
-
-        Each region's rows are unpacked from its bitmap.  Mixed-class
-        logistic and probit regions with exhaustive menus are walked
-        together (``_stacked_menus``); every other region's menu is built
-        on its own by ``_region_menu``.
-        """
-        data, task = self.data, self.task
-        n_params = data.P + 1
-        exhaustive = n_params <= EXHAUSTIVE_MASK_LIMIT
-        stacked = {}
-        for bitmap, count in missing.items():
-            bits = np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8), count=data.n)
-            rows = np.flatnonzero(bits.view(bool))
-            if task != TASK_REGRESSION and exhaustive:
-                y = data.y[rows]
-                if y.min() != y.max():
-                    stacked[bitmap] = rows
-                    continue
-            menu = _region_menu(RegionDesign(data, rows, task), n_params, exhaustive)
-            self._region_cache[bitmap] = _choice_path(menu, 0.5 * math.log2(count))
-        if not stacked:
-            return
-        menus = _stacked_menus(data, task, list(stacked.values()))
-        for (bitmap, rows), menu in zip(stacked.items(), menus):
-            menu.sort(key=lambda e: (e[0], e[1]))
-            self._region_cache[bitmap] = _choice_path(menu, 0.5 * math.log2(rows.size))
 
 
 def final_adjust(

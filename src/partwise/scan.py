@@ -3,26 +3,23 @@
 Each predictor is scanned independently: thresholds are added one at a time
 at the position minimizing the full MDL criterion for a model that breaks on
 that predictor alone, with every region fitted under the full variable mask.
-A greedy step scores every admissible cut at once.  It fits the left and
-right segment of every cut together and evaluates the criterion of all cuts
-as vectors, with the same floating-point operations in the same order as
-scoring one cut at a time.  For regression the fits are one stacked
-Cholesky solve of prefix-Gram differences (``fitting.solve_spd_stack``, with
-least squares for the segments its rank rule rejects).  For the binary links
-the step's new segments are fitted in one stacked damped-Newton solve
-(``fitting.newton_glm_windows``), each warm-started from the segment it
-splits.  Both agree with one-at-a-time fits to rounding, and the candidates
-equal the cut-by-cut loop's on the bundled designs (``tests/test_scan.py``).
-A regression scan keeps the RSS of every prefix segment ``[0, b)`` and
-suffix segment ``[b, n)`` it solves, so later steps solve only interior
-segments.  A predictor's scan stops at the per-predictor cap, or when no
-position satisfies the minimum-segment constraint or scores finite; it does
-not stop when the best addition fails to lower the criterion.
+A greedy step fits the left and right segment of every admissible cut
+together and scores all cuts at once with ``mdl.total_bits``, the criterion
+every other caller takes, in the operation order of scoring one cut at a
+time.  For regression the fits are stacked Cholesky solves of prefix-Gram
+differences (``fitting.solve_spd_stack``, least squares for the segments
+its rank rule rejects), and the RSS of every prefix segment ``[0, b)`` and
+suffix segment ``[b, n)`` is kept, so later steps solve only interior
+segments.  For the binary links a step's new segments are fitted in one
+stacked damped-Newton solve (``fitting.newton_glm_windows``), each
+warm-started from the segment it splits.  The candidates equal the
+cut-by-cut loop's on the bundled designs (``tests/test_scan.py``).  A
+predictor's scan stops at the per-predictor cap, or when no position
+satisfies the minimum-segment constraint or scores finite; it does not stop
+when the best addition fails to lower the criterion.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -34,7 +31,7 @@ from .fitting import (
     single_class_fit,
     solve_spd_stack,
 )
-from .mdl import SIGMA2_FLOOR
+from .mdl import total_bits
 from .model import Dataset, InputError, TASK_REGRESSION
 
 DEFAULT_MAX_PER_PREDICTOR = 3
@@ -181,43 +178,6 @@ class _BinarySegments:
         return out
 
 
-def _one_predictor_mdl(
-    n: int,
-    P: int,
-    counts: np.ndarray,
-    stats: np.ndarray,
-    task: str,
-    log2: np.ndarray,
-) -> np.ndarray:
-    """Full-mask MDL of models breaking on a single predictor only.
-
-    Row ``i`` of ``counts`` and ``stats`` (shape ``(models, l + 1)``) holds
-    one model's segment sizes and fit statistics, left to right.  ``log2[c]``
-    is ``math.log2(c)``.  Every sum runs over the segments left to right, term
-    by term, so each row's value equals the scalar criterion bit for bit.
-    """
-    l = counts.shape[1] - 1
-    log2_counts = log2[counts]
-    log2_regions = math.log2(l + 1)
-    half_s_full = 0.5 * (P + 1)
-    total_stat = np.zeros(len(counts))
-    region = np.zeros(len(counts))
-    occupancy = np.zeros(len(counts))
-    for z in range(l + 1):
-        total_stat = total_stat + stats[:, z]
-        region = region + (log2_regions + half_s_full * log2_counts[:, z])
-        occupancy = occupancy + log2_counts[:, z]
-    if task == TASK_REGRESSION:
-        # residual_code_regression term by term.  math.log, not np.log: the
-        # two can differ in the last bit.
-        sigma2 = np.maximum(total_stat / n, SIGMA2_FLOOR)
-        residual = 0.5 * n * np.array(list(map(math.log, sigma2.tolist())))
-    else:
-        residual = total_stat
-    structural = math.log2(P) + math.log2(2) + math.log2(l + 1) + occupancy
-    return structural + region + residual
-
-
 def _scan_step(
     segments,
     bounds: np.ndarray,
@@ -227,7 +187,6 @@ def _scan_step(
     P: int,
     task: str,
     min_segment: int,
-    log2: np.ndarray,
 ):
     """The best cut to add to the segments ``bounds``, scoring all at once.
 
@@ -258,7 +217,8 @@ def _scan_step(
     rows = np.arange(m)
     stats[rows, k], stats[rows, k + 1] = left, right
     counts[rows, k], counts[rows, k + 1] = b - lo, hi - b
-    mdl = _one_predictor_mdl(n, P, counts, stats, task, log2)
+    # One break predictor, every region under the full mask.
+    mdl = total_bits(P, n, task, [counts.T], [P + 1] * len(col), counts.T, stats.T)
     mdl[np.isnan(mdl)] = np.inf
     i = int(np.argmin(mdl))
     if mdl[i] == np.inf:
@@ -272,7 +232,6 @@ def _scan_one(
     task: str,
     max_per: int,
     min_segment: int,
-    log2: np.ndarray,
 ) -> list[float]:
     cuts = data.cut_positions(j)
     if cuts.size == 0:
@@ -289,7 +248,7 @@ def _scan_one(
     chosen: list[int] = []
     while len(chosen) < max_per:
         step = _scan_step(
-            segments, bounds, seg_stats, cuts, data.n, data.P, task, min_segment, log2
+            segments, bounds, seg_stats, cuts, data.n, data.P, task, min_segment
         )
         if step is None:
             break
@@ -322,11 +281,9 @@ def scan_candidates(
         min_segment = default_min_segment(data.P)
     elif min_segment < data.P + 2:
         raise InputError(f"min_segment must be at least P + 2 = {data.P + 2}")
-    # log2[c] == math.log2(c), so vectorized code lengths match scalar ones.
-    log2 = np.array([-np.inf] + [math.log2(c) for c in range(1, data.n + 1)])
     out: dict[int, list[float]] = {}
     for j in range(data.P):
-        found = _scan_one(data, j, task, max_per_predictor, min_segment, log2)
+        found = _scan_one(data, j, task, max_per_predictor, min_segment)
         if found:
             out[j] = found
     return out

@@ -15,7 +15,7 @@ class TestFitModel:
         model = fit_model(data, "regression", FitParams(seed=4)).model
         grid = induce_partition(data, model.config)
         recomputed = mdl_score(data, grid, model.region_fits, model.task)
-        assert model.mdl.total == pytest.approx(recomputed.total, abs=1e-9)
+        assert model.mdl.total == recomputed.total
 
     def test_mdl_matches_recomputation_classification(self):
         rng = np.random.default_rng(3)
@@ -23,7 +23,7 @@ class TestFitModel:
         model = fit_model(data, "logistic", FitParams(seed=4)).model
         grid = induce_partition(data, model.config)
         recomputed = mdl_score(data, grid, model.region_fits, model.task)
-        assert model.mdl.total == pytest.approx(recomputed.total, abs=1e-9)
+        assert model.mdl.total == recomputed.total
 
     def test_sigma2_hat_consistency(self):
         rng = np.random.default_rng(5)

@@ -18,17 +18,20 @@ from partwise import (
     select_features,
 )
 from partwise.fitting import RegionDesign, single_class_fit
-from partwise.mdl import SIGMA2_FLOOR, residual_code_regression
-from partwise.model import RegionFit
+from partwise.mdl import SIGMA2_FLOOR, residual_bits
+from partwise.model import InputError, RegionFit
 from partwise.refine import (
     BOUND_MARGIN,
     ConfigScorer,
+    _bounded_menus,
     _choice_path,
     _joint_choice,
     _key_from_pairs,
     _masks_for,
     _region_menu,
+    _stacked_menus,
 )
+from partwise.simulate import SETTINGS, generate, trial_rng
 
 from conftest import random_config, random_dataset, wide_reg1
 
@@ -132,6 +135,28 @@ class TestSelectFeatures:
         assert a.total == b.total
         for ma, mb in zip([f.mask for f in a.fits], [f.mask for f in b.fits]):
             assert np.array_equal(ma, mb)
+
+    @pytest.mark.parametrize(
+        "setting, task", [("cls2", "logistic"), ("cls1", "probit")]
+    )
+    def test_rescores_a_fitted_partition_as_the_search_did(self, setting, task):
+        # select_features builds its menus through the scorer's path builder,
+        # so the fitted model's own partition scores what the search scored.
+        d = generate(SETTINGS[setting], 400, trial_rng(0, 0), link=task)
+        model = fit_model(d, task, FitParams(seed=3)).model
+        got = select_features(d, task, induce_partition(d, model.config))
+        assert got.total == model.mdl.total
+        assert [f.mask.tolist() for f in got.fits] == [
+            f.mask.tolist() for f in model.region_fits
+        ]
+
+    @pytest.mark.parametrize("task", ["banana", "probit"])
+    def test_rejects_a_task_the_response_does_not_fit(self, task):
+        # An unknown task name, and a binary link on a Gaussian response.
+        d = random_dataset(6, n=60, P=2)
+        grid = induce_partition(d, ChangePointConfig({0: [d.midpoint(0, 30)]}))
+        with pytest.raises(InputError):
+            select_features(d, task, grid)
 
 
 class TestFinalAdjust:
@@ -259,15 +284,43 @@ def _bounded_cases():
     return cases
 
 
+def one_region_walk(design, n_params):
+    """``_bounded_menus`` of one region, fitting each mask only when the walk
+    asks for it, through ``RegionDesign.fit_mask``."""
+    (menu,) = _bounded_menus(
+        [design.n_r],
+        n_params,
+        lambda asked: lambda i: design.fit_mask(asked[i][1][1], asked[i][1][4]),
+    )
+    return menu
+
+
+def scalar_stacked_menus(data, task, regions):
+    """``_stacked_menus`` with each region walked on its own by
+    ``one_region_walk``: the bounded walk on the scalar kernel that
+    ``unbounded_selection`` fits with."""
+    return [one_region_walk(RegionDesign(data, rows, task), data.P + 1) for rows in regions]
+
+
 class TestBoundedMenu:
-    def test_matches_unbounded_enumeration_bitwise(self):
+    def test_matches_unbounded_enumeration_bitwise(self, monkeypatch):
+        # The walk and the full enumeration fit through the same scalar
+        # kernel, so the choice must agree bit for bit; the stacked kernel
+        # the search runs must choose the same masks.
         kinds = {"single_class": 0, "stabilized": 0}
         cases = _bounded_cases()
         assert len(cases) >= 30
         for task, d, grid in cases:
-            got = select_features(d, task, grid)
+            stacked = select_features(d, task, grid)
+            with monkeypatch.context() as m:
+                m.setattr(partwise.refine, "_stacked_menus", scalar_stacked_menus)
+                got = select_features(d, task, grid)
             want_fits, want_total = unbounded_selection(d, grid, task)
             assert got.total == want_total
+            assert [f.mask.tolist() for f in stacked.fits] == [
+                f.mask.tolist() for f in want_fits
+            ]
+            assert [f.stabilized for f in stacked.fits] == [f.stabilized for f in want_fits]
             for g, w in zip(got.fits, want_fits):
                 assert g.mask.tolist() == w.mask.tolist()
                 assert g.beta.tobytes() == w.beta.tobytes()
@@ -299,7 +352,7 @@ class TestBoundedMenu:
         fitted = []
         fit_mask = design.fit_mask
         design.fit_mask = lambda cols, ix: fitted.append(cols) or fit_mask(cols, ix)
-        menu = _region_menu(design, d.P + 1, exhaustive=True)
+        menu = one_region_walk(design, d.P + 1)
         assert len(menu) == len(fitted) < 2 ** (d.P + 1)
         best = min(menu, key=lambda e: e[0] * 0.5 * math.log2(n) + e[2])
         assert best[1][1] == 1  # the strong predictor is kept
@@ -329,9 +382,7 @@ class _StubDesign:
 
     ``n_r = 4`` makes each selected column cost exactly one bit."""
 
-    task = "logistic"
     n_r = 4
-    single_class = False
 
     def __init__(self, stats, stabilized):
         self.stats = stats
@@ -347,7 +398,7 @@ class _StubDesign:
 def _walk(stats, stabilized=()):
     """Masks fitted by the walk over (intercept, x1), and the winner."""
     design = _StubDesign(stats, stabilized)
-    menu = _region_menu(design, 2, exhaustive=True)
+    menu = one_region_walk(design, 2)
     chosen = min(menu, key=lambda e: (e[0] + e[2], e[0], e[1]))
     return sorted(design.fitted), sum(b << i for i, b in enumerate(chosen[1]))
 
@@ -452,9 +503,27 @@ def coordinate_descent(menus, half_log2n, n):
 
 
 RESIDUALS = {
-    "regression": partial(residual_code_regression, 200),
+    "regression": partial(residual_bits, "regression", 200),
     "binary": lambda total: total,
 }
+
+
+def search_menus(data, task, grid):
+    """The regions' menus as ``select_features`` builds them, each sorted by
+    (s, lex): the mixed-class logistic and probit regions walked together by
+    ``_stacked_menus``, every other region by ``_region_menu``."""
+    menus, mixed = {}, []
+    for r, rows in enumerate(grid.memberships):
+        if task != "regression" and data.y[rows].min() != data.y[rows].max():
+            mixed.append(r)
+        else:
+            design = RegionDesign(data, rows, task)
+            menus[r] = _region_menu(design, data.P + 1, exhaustive=True)
+    if mixed:
+        stacked = _stacked_menus(data, task, [grid.memberships[r] for r in mixed])
+        for r, menu in zip(mixed, stacked):
+            menus[r] = sorted(menu, key=lambda e: (e[0], e[1]))
+    return [menus[r] for r in range(grid.R)]
 
 
 class TestJointChoice:
@@ -490,7 +559,7 @@ class TestJointChoice:
         n = 128
         menu = [_entry([0, 0], 40.0), _entry([1, 0], 18.625), _entry([1, 1], 16.0)]
         menus, half_log2n = [menu] * 4, [2.5] * 4
-        residual = partial(residual_code_regression, n)
+        residual = partial(residual_bits, "regression", n)
         optimum = _value(brute_force_choice(menus, half_log2n, residual), half_log2n, residual)
         descent = coordinate_descent(menus, half_log2n, n)
         assert [e[1] for e in descent] == [(1, 1)] * 4
@@ -528,14 +597,11 @@ class TestJointChoice:
             if grid.region_counts.min() < P + 2:
                 continue
             residual = (
-                partial(residual_code_regression, d.n)
+                partial(residual_bits, "regression", d.n)
                 if task == "regression"
                 else RESIDUALS["binary"]
             )
-            menus = [
-                _region_menu(RegionDesign(d, rows, task), P + 1, exhaustive=True)
-                for rows in grid.memberships
-            ]
+            menus = search_menus(d, task, grid)
             half_log2n = [0.5 * math.log2(c) for c in grid.region_counts.tolist()]
             want = brute_force_choice(menus, half_log2n, residual)
             got = select_features(d, task, grid)

@@ -19,8 +19,8 @@ import partwise.refine as refine_mod
 from partwise import ChangePointConfig, Dataset, select_features
 from partwise.fitting import full_design
 from partwise.model import _region_index, induce_partition, partition_grid
-from partwise.mdl import residual_code_regression
-from partwise.scan import _one_predictor_mdl, _RegressionSegments, scan_candidates
+from partwise.mdl import SIGMA2_FLOOR, total_bits
+from partwise.scan import _RegressionSegments, scan_candidates
 
 
 def searchsorted_region_index(breaks, columns):
@@ -261,22 +261,21 @@ class TestMemoizedSegments:
 
 
 def test_regression_residual_code_is_the_scalar_one_bitwise():
-    # np.log may differ from math.log in the last bit; the scan's criterion
-    # must be the scalar one.
+    # np.log may differ from math.log in the last bit; the criterion the scan
+    # takes from mdl must be the scalar one.
     n, P, m = 1000, 4, 200_000
     rng = np.random.default_rng(21)
     left = rng.integers(1, n, m)
     counts = np.column_stack([left, n - left])
     stats = rng.uniform(0.0, 5000.0, (m, 2))
     stats[::1000] = 0.0  # variance floor
-    log2 = np.array([-np.inf] + [math.log2(c) for c in range(1, n + 1)])
-    got = _one_predictor_mdl(n, P, counts, stats, "regression", log2)
+    got = total_bits(P, n, "regression", [counts.T], [P + 1] * 2, counts.T, stats.T)
     half = 0.5 * (P + 1)
     want = []
     for (c0, c1), (s0, s1) in zip(counts.tolist(), stats.tolist()):
         region = (0.0 + (1.0 + half * math.log2(c0))) + (1.0 + half * math.log2(c1))
         occupancy = (0.0 + math.log2(c0)) + math.log2(c1)
         structural = math.log2(P) + 1.0 + 1.0 + occupancy
-        residual = residual_code_regression(n, (0.0 + s0) + s1)
+        residual = 0.5 * n * math.log(max(((0.0 + s0) + s1) / n, SIGMA2_FLOOR))
         want.append(structural + region + residual)
     assert got.tolist() == want
